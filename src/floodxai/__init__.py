@@ -56,6 +56,7 @@ from .manifest import (
 from .metrics import ConfusionMatrix, MetricsReport, confusion, evaluate, render_table, score
 from .render import bar_chart, svg_bar_chart, svg_two_sided_bar_chart, two_sided_bar_chart
 from .models import (
+    KnnConfig,
     KnnModel,
     LogisticConfig,
     LogisticModel,

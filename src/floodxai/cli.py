@@ -12,8 +12,8 @@ Exit codes: 0 success, 2 usage or validation error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -31,13 +31,11 @@ from .explain import (
 from .manifest import build_manifest, canonical_json, write_report, write_text
 from .metrics import evaluate, render_table
 from .models import (
-    KnnModel,
-    LogisticConfig,
+    KINDS,
     MODEL_KINDS,
-    SvmConfig,
-    TreeConfig,
-    load_model,
+    model_from_dict,
     model_kind,
+    read_model_file,
     save_model,
     train_model,
 )
@@ -48,11 +46,14 @@ from .render import (
     two_sided_bar_chart,
 )
 
-DISPLAY_NAMES = {
-    "logistic": "Logistic regression",
-    "knn": "KNN",
-    "tree": "Decision tree",
-    "svm": "SVM",
+DISPLAY_NAMES = {kind: entry.display_name for kind, entry in KINDS.items()}
+# train flag -> (config field, help); a flag applies to the kinds whose config has the field
+HYPERPARAMETER_FLAGS = {
+    "--k": ("k", "neighbor count"),
+    "--max-depth": ("max_depth", "depth cap"),
+    "--c": ("C", "soft-margin C"),
+    "--lr": ("learning_rate", "learning rate"),
+    "--epochs": ("epochs", "training epochs"),
 }
 _IMPUTE_CHOICES = ("column-mean", "zero")
 
@@ -106,11 +107,12 @@ def build_parser():
     p.add_argument(
         "--out", metavar="PATH", help="model output path (default <kind>_model.json)"
     )
-    p.add_argument("--k", type=int, help="neighbor count (knn)")
-    p.add_argument("--max-depth", type=int, dest="max_depth", help="depth cap (tree)")
-    p.add_argument("--c", type=float, help="soft-margin C (svm)")
-    p.add_argument("--lr", type=float, help="learning rate (logistic, svm)")
-    p.add_argument("--epochs", type=int, help="training epochs (logistic, svm)")
+    for flag, (field, text) in HYPERPARAMETER_FLAGS.items():
+        kinds = _flag_kinds(field)
+        default = getattr(KINDS[kinds[0]].config_class(), field)
+        p.add_argument(
+            flag, dest=field, type=type(default), help=f"{text} ({', '.join(kinds)})"
+        )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score saved models on a dataset partition")
@@ -242,73 +244,27 @@ def cmd_summary(args):
     return 0
 
 
+def _flag_kinds(field):
+    """The kinds a hyperparameter flag applies to: those whose config has its field."""
+    return [k for k, e in KINDS.items() if field in {f.name for f in fields(e.config_class)}]
+
+
 def _build_train_config(args):
-    """Map hyperparameter flags to the kind's config, naming bad flags."""
-    provided = {
-        "--k": args.k,
-        "--max-depth": args.max_depth,
-        "--c": args.c,
-        "--lr": args.lr,
-        "--epochs": args.epochs,
-    }
-    relevant = {
-        "logistic": ("--lr", "--epochs"),
-        "knn": ("--k",),
-        "tree": ("--max-depth",),
-        "svm": ("--c", "--lr", "--epochs"),
-    }[args.model]
-    for flag, value in provided.items():
-        if value is not None and flag not in relevant:
+    """The kind's default config with the given flags applied; errors name the flag."""
+    config = KINDS[args.model].config_class()
+    for flag, (field, _) in HYPERPARAMETER_FLAGS.items():
+        value = getattr(args, field)
+        if value is None:
+            continue
+        if args.model not in _flag_kinds(field):
             raise ConfigError(f"{flag} does not apply to --model {args.model}")
-
-    if args.model == "logistic":
-        defaults = LogisticConfig()
-        config = LogisticConfig(
-            learning_rate=args.lr if args.lr is not None else defaults.learning_rate,
-            epochs=args.epochs if args.epochs is not None else defaults.epochs,
-        )
-    elif args.model == "knn":
-        config = args.k if args.k is not None else 5
-        if config < 1:
-            raise ConfigError(f"--k must be a positive integer, got {config}")
-    elif args.model == "tree":
-        defaults = TreeConfig()
-        config = TreeConfig(
-            max_depth=args.max_depth
-            if args.max_depth is not None
-            else defaults.max_depth
-        )
-    else:
-        defaults = SvmConfig()
-        config = SvmConfig(
-            C=args.c if args.c is not None else defaults.C,
-            epochs=args.epochs if args.epochs is not None else defaults.epochs,
-            learning_rate=args.lr if args.lr is not None else defaults.learning_rate,
-        )
-    if hasattr(config, "validate"):
-        config.validate()
+        # defaults are valid, so the flag just applied is the one validate rejects
+        config = replace(config, **{field: value})
+        try:
+            config.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"{flag}: {exc}") from None
     return config
-
-
-def _config_echo(kind, config):
-    if kind == "knn":
-        return {"k": config}
-    if kind == "logistic":
-        return {
-            "learning_rate": config.learning_rate,
-            "epochs": config.epochs,
-            "l2": config.l2,
-        }
-    if kind == "tree":
-        return {
-            "max_depth": config.max_depth,
-            "min_samples_leaf": config.min_samples_leaf,
-        }
-    return {
-        "C": config.C,
-        "epochs": config.epochs,
-        "learning_rate": config.learning_rate,
-    }
 
 
 def cmd_train(args):
@@ -326,7 +282,7 @@ def cmd_train(args):
             "model": args.model,
             "split": args.split,
             "impute": args.impute,
-            **_config_echo(args.model, config),
+            **asdict(config),
         },
     )
     metadata = {
@@ -360,12 +316,10 @@ def cmd_train(args):
     return 0
 
 
-def _model_metadata(path):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle).get("metadata", {})
-    except (OSError, ValueError) as exc:
-        raise DatasetError(f"cannot read model file {path}: {exc}") from None
+def _load_model(path):
+    """A model file's model and its metadata, from a single read."""
+    payload = read_model_file(path)
+    return model_from_dict(payload), payload.get("metadata", {})
 
 
 def _resolve_split(args, metadata_list):
@@ -392,13 +346,12 @@ def _resolve_split(args, metadata_list):
 
 def cmd_evaluate(args):
     dataset = _load_imputed(args)
-    models = [(path, load_model(path)) for path in args.model]
-    metadata_list = [_model_metadata(path) for path in args.model]
-    seed, fraction = _resolve_split(args, metadata_list)
+    loaded = [_load_model(path) for path in args.model]
+    seed, fraction = _resolve_split(args, [metadata for _, metadata in loaded])
     parts = split(dataset, fraction, seed)
     part = {"test": parts.test, "train": parts.train, "all": dataset}[args.on]
     reports = []
-    for path, model in models:
+    for path, (model, _) in zip(args.model, loaded):
         kind = model_kind(model)
         reports.append((path, kind, evaluate(model, part, name=DISPLAY_NAMES[kind])))
     print(
@@ -457,8 +410,7 @@ def _require_year(args, dataset):
 def cmd_explain(args):
     budget = _parse_budget(args.samples)
     dataset = _load_imputed(args)
-    model = load_model(args.model)
-    metadata = _model_metadata(args.model)
+    model, metadata = _load_model(args.model)
     seed = metadata.get("seed", 42)
     fraction = metadata.get("split", 0.7)
     parts = split(dataset, fraction, seed)

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..dataset import fit_scaler
 from ..errors import ConfigError, DatasetError
+from .shapley import _predict_fn
 
 RIDGE_LAMBDA = 1e-3
 _RESAMPLE_MODES = ("uniform", "normal")
@@ -342,7 +343,7 @@ def fit_local_surrogate(model, samples, config, feature_names=None, discretizer=
     sigma = config.effective_kernel_width(m)
     proximity = np.exp(-samples.distances**2 / sigma**2)
 
-    predict = model.predict_proba if hasattr(model, "predict_proba") else model
+    predict = _predict_fn(model)
     y = np.asarray(predict(samples.X), dtype=float)
 
     candidates = [f for f in range(m) if np.ptp(samples.bits[:, f]) > 0]

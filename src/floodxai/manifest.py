@@ -50,28 +50,12 @@ def canonical_json(obj):
 
 
 def write_report(path, obj):
-    """Write canonical JSON atomically: temp file in place, then rename.
-
-    A failed serialization or interrupted write never leaves a partial
-    report at the destination.
-    """
-    text = canonical_json(obj)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
-    return path
+    """Write canonical JSON atomically; a failed serialization writes nothing."""
+    return write_text(path, canonical_json(obj))
 
 
 def write_text(path, text):
-    """Atomic plain-text write (SVG charts, provenance logs)."""
+    """Write text atomically (temp file, then rename): a failed write leaves nothing."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")

@@ -1,49 +1,24 @@
 """From-scratch classifiers sharing a predict/predict_proba interface."""
 
-from ..errors import ConfigError
 from .base import ProbabilityClassifier, prepare_features
-from .knn import KnnModel, euclidean_distance, train_knn
+from .knn import KnnConfig, KnnModel, euclidean_distance, train_knn
 from .logistic import LogisticConfig, LogisticModel, loss_and_gradient, train_logistic
 from .svm import SvmConfig, SvmModel, hinge_objective, train_svm
 from .tree import TreeConfig, TreeModel, TreeNode, entropy, train_tree
+from .kinds import KINDS, MODEL_KINDS, model_kind, train_model
 from .io import (
     MODEL_FORMAT_VERSION,
-    MODEL_KINDS,
     load_model,
     model_from_dict,
-    model_kind,
     model_to_dict,
+    read_model_file,
     save_model,
 )
-
-_TRAINERS = {
-    "logistic": train_logistic,
-    "knn": train_knn,
-    "tree": train_tree,
-    "svm": train_svm,
-}
-
-
-def train_model(kind, train, config=None):
-    """Train a model of the named kind.
-
-    `config` is the kind's config dataclass (or the neighbor count k for
-    KNN); None trains with defaults.
-    """
-    try:
-        trainer = _TRAINERS[kind]
-    except KeyError:
-        raise ConfigError(
-            f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}"
-        ) from None
-    if config is None:
-        return trainer(train)
-    return trainer(train, config)
-
 
 __all__ = [
     "ProbabilityClassifier",
     "prepare_features",
+    "KnnConfig",
     "KnnModel",
     "euclidean_distance",
     "train_knn",
@@ -60,12 +35,14 @@ __all__ = [
     "TreeNode",
     "entropy",
     "train_tree",
-    "MODEL_FORMAT_VERSION",
+    "KINDS",
     "MODEL_KINDS",
+    "model_kind",
+    "train_model",
+    "MODEL_FORMAT_VERSION",
     "load_model",
     "model_from_dict",
-    "model_kind",
     "model_to_dict",
+    "read_model_file",
     "save_model",
-    "train_model",
 ]

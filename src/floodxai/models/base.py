@@ -3,7 +3,10 @@
 Every trained model accepts raw feature vectors in millimeters (any
 per-model standardization is internal), exposes ``predict_proba`` giving
 the probability of the flood class, and derives hard labels by
-thresholding at 0.5 (probability 0.5 maps to class 1).
+thresholding at 0.5 (probability 0.5 maps to class 1). Each model also
+holds its frozen config dataclass as ``config`` and converts its learned
+state to and from JSON-native values with ``parameters()`` and
+``from_parameters(params, config, scaler)``, which ``models.io`` uses.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ def prepare_features(X, n_features):
     if A.shape[1] != n_features:
         raise DatasetError(f"feature-width mismatch: model expects {n_features}, got {A.shape[1]}")
     return A, single
+
+
+def unwrap_single(values, single):
+    """Undo `prepare_features`' reshape: a single vector's result as a Python scalar."""
+    return values[0].item() if single else values
 
 
 class ProbabilityClassifier:

@@ -1,7 +1,9 @@
 """Versioned JSON persistence for trained models.
 
 Each file records the model kind, hyperparameters, learned parameters,
-the training scaler, and free-form metadata. Floats survive the JSON
+the training scaler, and free-form metadata. Hyperparameters are the
+fields of the model's config dataclass; each model class lays out its own
+learned parameters (`parameters` / `from_parameters`). Floats survive the JSON
 round trip exactly (shortest-repr encoding), so a reloaded model makes
 bit-identical predictions. Training curves are not persisted.
 """
@@ -9,32 +11,16 @@ bit-identical predictions. Training curves are not persisted.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from ..dataset import Scaler
 from ..errors import ConfigError
 from ..manifest import write_report
-from .knn import KnnModel
-from .logistic import LogisticConfig, LogisticModel
-from .svm import SvmConfig, SvmModel
-from .tree import TreeConfig, TreeModel, TreeNode
+from .kinds import kind_entry, model_kind
 
 MODEL_FORMAT_VERSION = 1
-MODEL_KINDS = ("logistic", "knn", "tree", "svm")
-
-
-def model_kind(model):
-    """Short kind string for a trained model instance."""
-    if isinstance(model, LogisticModel):
-        return "logistic"
-    if isinstance(model, KnnModel):
-        return "knn"
-    if isinstance(model, TreeModel):
-        return "tree"
-    if isinstance(model, SvmModel):
-        return "svm"
-    raise ConfigError(f"unknown model type: {type(model).__name__}")
 
 
 def _scaler_to_dict(scaler):
@@ -52,123 +38,50 @@ def _scaler_from_dict(payload):
     )
 
 
-def _node_to_dict(node):
-    payload = {
-        "n_samples": node.n_samples,
-        "n_flood": node.n_flood,
-        "entropy_bits": node.entropy_bits,
-    }
-    if not node.is_leaf:
-        payload.update(
-            {
-                "feature": node.feature,
-                "threshold": node.threshold,
-                "gain": node.gain,
-                "left": _node_to_dict(node.left),
-                "right": _node_to_dict(node.right),
-            }
-        )
-    return payload
-
-
-def _node_from_dict(payload):
-    node = TreeNode(
-        n_samples=int(payload["n_samples"]),
-        n_flood=int(payload["n_flood"]),
-        entropy_bits=float(payload["entropy_bits"]),
-    )
-    if "feature" in payload:
-        node.feature = int(payload["feature"])
-        node.threshold = float(payload["threshold"])
-        node.gain = float(payload["gain"])
-        node.left = _node_from_dict(payload["left"])
-        node.right = _node_from_dict(payload["right"])
-    return node
-
-
 def model_to_dict(model, metadata=None):
     """Serializable payload for a trained model."""
-    kind = model_kind(model)
-    if kind == "logistic":
-        hyper = {
-            "learning_rate": model.config.learning_rate,
-            "epochs": model.config.epochs,
-            "l2": model.config.l2,
-        }
-        params = {"weights": list(model.weights), "intercept": model.intercept}
-    elif kind == "knn":
-        hyper = {"k": model.k}
-        params = {
-            "train_scaled": [list(row) for row in model.train_scaled],
-            "train_labels": [int(v) for v in model.train_labels],
-        }
-    elif kind == "tree":
-        hyper = {
-            "max_depth": model.config.max_depth,
-            "min_samples_leaf": model.config.min_samples_leaf,
-        }
-        params = {"n_features": model.n_features, "root": _node_to_dict(model.root)}
-    else:
-        hyper = {
-            "C": model.config.C,
-            "epochs": model.config.epochs,
-            "learning_rate": model.config.learning_rate,
-        }
-        params = {"weights": list(model.weights), "bias": model.bias}
     return {
         "schema": "floodxai.model",
         "schema_version": 1,
         "format_version": MODEL_FORMAT_VERSION,
-        "kind": kind,
-        "hyperparameters": hyper,
-        "parameters": params,
-        "scaler": _scaler_to_dict(getattr(model, "scaler", None)),
+        "kind": model_kind(model),
+        "hyperparameters": asdict(model.config),
+        "parameters": model.parameters(),
+        "scaler": _scaler_to_dict(model.scaler),
         "metadata": dict(metadata or {}),
     }
 
 
 def model_from_dict(payload):
-    """Rebuild a trained model from its serialized payload."""
+    """Rebuild a trained model from its serialized payload.
+
+    A payload that is not a valid model file raises ConfigError naming the
+    unsupported version, unknown kind or hyperparameter, missing key, or
+    value of the wrong type.
+    """
+    if not isinstance(payload, dict):
+        raise ConfigError(f"a model file holds a JSON object, got {type(payload).__name__}")
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ConfigError(
             f"unsupported model format_version {version!r}; "
             f"this build reads version {MODEL_FORMAT_VERSION}"
         )
-    kind = payload.get("kind")
+    entry = kind_entry(payload.get("kind"))
     hyper = payload.get("hyperparameters", {})
-    params = payload.get("parameters", {})
-    scaler = _scaler_from_dict(payload.get("scaler"))
-    if kind == "logistic":
-        return LogisticModel(
-            weights=np.asarray(params["weights"], dtype=float),
-            intercept=float(params["intercept"]),
-            config=LogisticConfig(**hyper),
-            scaler=scaler,
-            loss_history=None,
+    try:
+        unknown = sorted(set(hyper) - {f.name for f in fields(entry.config_class)})
+        if unknown:
+            raise ConfigError(f"unknown {payload['kind']} hyperparameters {unknown}")
+        config = entry.config_class(**hyper)
+        config.validate()
+        return entry.model_class.from_parameters(
+            payload.get("parameters", {}), config, _scaler_from_dict(payload.get("scaler"))
         )
-    if kind == "knn":
-        return KnnModel(
-            k=int(hyper["k"]),
-            train_scaled=np.asarray(params["train_scaled"], dtype=float),
-            train_labels=np.asarray(params["train_labels"], dtype=int),
-            scaler=scaler,
-        )
-    if kind == "tree":
-        return TreeModel(
-            root=_node_from_dict(params["root"]),
-            config=TreeConfig(**hyper),
-            n_features=int(params["n_features"]),
-        )
-    if kind == "svm":
-        return SvmModel(
-            weights=np.asarray(params["weights"], dtype=float),
-            bias=float(params["bias"]),
-            config=SvmConfig(**hyper),
-            scaler=scaler,
-            objective_history=None,
-        )
-    raise ConfigError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    except KeyError as exc:
+        raise ConfigError(f"model file is missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed model file: {exc}") from None
 
 
 def save_model(model, path, metadata=None, manifest=None):
@@ -179,8 +92,15 @@ def save_model(model, path, metadata=None, manifest=None):
     return write_report(path, payload)
 
 
+def read_model_file(path):
+    """The parsed JSON payload of a model file; non-JSON raises ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except ValueError as exc:
+        raise ConfigError(f"model file {path} is not valid JSON: {exc}") from None
+
+
 def load_model(path):
     """Load a model JSON file written by :func:`save_model`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return model_from_dict(payload)
+    return model_from_dict(read_model_file(path))

@@ -9,7 +9,7 @@ from scipy.spatial.distance import cdist
 
 from ..dataset import fit_scaler
 from ..errors import ConfigError, DatasetError
-from .base import ProbabilityClassifier, prepare_features
+from .base import ProbabilityClassifier, prepare_features, unwrap_single
 
 
 def euclidean_distance(a, b):
@@ -19,6 +19,15 @@ def euclidean_distance(a, b):
     if a.shape != b.shape:
         raise DatasetError(f"length mismatch: {a.shape} vs {b.shape}")
     return float(np.sqrt(np.sum((a - b) ** 2)))
+
+
+@dataclass(frozen=True)
+class KnnConfig:
+    k: int = 5
+
+    def validate(self):
+        if self.k < 1:
+            raise ConfigError(f"k must be >= 1, got {self.k}")
 
 
 @dataclass(eq=False)
@@ -31,7 +40,7 @@ class KnnModel(ProbabilityClassifier):
     equally among them.
     """
 
-    k: int
+    config: KnnConfig
     train_scaled: np.ndarray
     train_labels: np.ndarray
     scaler: object
@@ -40,24 +49,40 @@ class KnnModel(ProbabilityClassifier):
     def n_features(self):
         return self.train_scaled.shape[1]
 
+    def parameters(self):
+        return {
+            "train_scaled": [list(row) for row in self.train_scaled],
+            "train_labels": [int(v) for v in self.train_labels],
+        }
+
+    @classmethod
+    def from_parameters(cls, params, config, scaler):
+        return cls(
+            config=config,
+            train_scaled=np.asarray(params["train_scaled"], dtype=float),
+            train_labels=np.asarray(params["train_labels"], dtype=int),
+            scaler=scaler,
+        )
+
     def _distances(self, X):
         A, single = prepare_features(X, self.n_features)
         return cdist(self.scaler.transform(A), self.train_scaled), single
 
     def _proba_from_distances(self, D):
+        k = self.config.k
         y = self.train_labels.astype(float)
-        kth = np.sort(D, axis=1)[:, self.k - 1]
+        kth = np.sort(D, axis=1)[:, k - 1]
         closer = D < kth[:, None]
         at_kth = D == kth[:, None]
         n_closer = closer.sum(axis=1)
         n_at = at_kth.sum(axis=1)
-        votes = closer @ y + (self.k - n_closer) * (at_kth @ y) / n_at
-        return votes / self.k
+        votes = closer @ y + (k - n_closer) * (at_kth @ y) / n_at
+        return votes / k
 
     def predict_proba(self, X):
         D, single = self._distances(X)
         proba = self._proba_from_distances(D)
-        return float(proba[0]) if single else proba
+        return unwrap_single(proba, single)
 
     def predict(self, X):
         """Majority vote; an exact 50/50 vote falls to the nearest neighbor's class."""
@@ -72,19 +97,24 @@ class KnnModel(ProbabilityClassifier):
                 at_min = D[i] == nearest[i]
                 # nearest neighbors that themselves split evenly keep class 1
                 labels[i] = 1 if y[at_min].mean() >= 0.5 else 0
-        return int(labels[0]) if single else labels
+        return unwrap_single(labels, single)
 
 
 def train_knn(train, k=5):
-    """Standardize the training features and store them for neighbor lookup."""
+    """Standardize the training features and store them for neighbor lookup.
+
+    `k` is the neighbor count or a whole :class:`KnnConfig`.
+    """
+    config = k if isinstance(k, KnnConfig) else KnnConfig(k=int(k))
+    config.validate()
     n = len(train)
     if n == 0:
         raise DatasetError("cannot train KNN on an empty dataset")
-    if not 1 <= k <= n:
-        raise ConfigError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    if config.k > n:
+        raise ConfigError(f"k must satisfy 1 <= k <= {n}, got {config.k}")
     scaler = fit_scaler(train)
     return KnnModel(
-        k=int(k),
+        config=config,
         train_scaled=scaler.transform(train.features()),
         train_labels=train.labels(),
         scaler=scaler,

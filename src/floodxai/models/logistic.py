@@ -14,7 +14,7 @@ from scipy.special import expit
 
 from ..dataset import fit_scaler
 from ..errors import ConfigError
-from .base import ProbabilityClassifier, prepare_features
+from .base import ProbabilityClassifier, prepare_features, unwrap_single
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,27 @@ class LogisticModel(ProbabilityClassifier):
     def n_features(self):
         return self.weights.shape[0]
 
+    def parameters(self):
+        return {"weights": list(self.weights), "intercept": self.intercept}
+
+    @classmethod
+    def from_parameters(cls, params, config, scaler):
+        return cls(
+            weights=np.asarray(params["weights"], dtype=float),
+            intercept=float(params["intercept"]),
+            config=config,
+            scaler=scaler,
+        )
+
     def decision_function(self, X):
         A, single = prepare_features(X, self.n_features)
         z = A @ self.weights + self.intercept
-        return float(z[0]) if single else z
+        return unwrap_single(z, single)
 
     def predict_proba(self, X):
         A, single = prepare_features(X, self.n_features)
         p = expit(A @ self.weights + self.intercept)
-        return float(p[0]) if single else p
+        return unwrap_single(p, single)
 
 
 def train_logistic(train, config=None):

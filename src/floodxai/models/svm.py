@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from ..dataset import fit_scaler
 from ..errors import ConfigError
-from .base import ProbabilityClassifier, prepare_features
+from .base import ProbabilityClassifier, prepare_features, unwrap_single
 
 
 @dataclass(frozen=True)
@@ -57,16 +57,28 @@ class SvmModel(ProbabilityClassifier):
     def n_features(self):
         return self.weights.shape[0]
 
+    def parameters(self):
+        return {"weights": list(self.weights), "bias": self.bias}
+
+    @classmethod
+    def from_parameters(cls, params, config, scaler):
+        return cls(
+            weights=np.asarray(params["weights"], dtype=float),
+            bias=float(params["bias"]),
+            config=config,
+            scaler=scaler,
+        )
+
     def decision_function(self, X):
         A, single = prepare_features(X, self.n_features)
         z = A @ self.weights + self.bias
-        return float(z[0]) if single else z
+        return unwrap_single(z, single)
 
     def predict_proba(self, X):
         """Sigmoid of the margin: a smooth, uncalibrated score in [0, 1]."""
         A, single = prepare_features(X, self.n_features)
         p = expit(A @ self.weights + self.bias)
-        return float(p[0]) if single else p
+        return unwrap_single(p, single)
 
 
 def train_svm(train, config=None):

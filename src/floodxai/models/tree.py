@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, DatasetError
-from .base import ProbabilityClassifier, prepare_features
+from .base import ProbabilityClassifier, prepare_features, unwrap_single
 
 
 def entropy(labels):
@@ -54,6 +54,28 @@ class TreeNode:
     @property
     def proba(self):
         return self.n_flood / self.n_samples
+
+    def to_dict(self):
+        """Nested JSON form; a leaf omits its (None) split fields."""
+        payload = {k: v for k, v in vars(self).items() if v is not None}
+        if not self.is_leaf:
+            payload.update(left=self.left.to_dict(), right=self.right.to_dict())
+        return payload
+
+    @classmethod
+    def from_dict(cls, payload):
+        node = cls(
+            n_samples=int(payload["n_samples"]),
+            n_flood=int(payload["n_flood"]),
+            entropy_bits=float(payload["entropy_bits"]),
+        )
+        if "feature" in payload:
+            node.feature = int(payload["feature"])
+            node.threshold = float(payload["threshold"])
+            node.gain = float(payload["gain"])
+            node.left = cls.from_dict(payload["left"])
+            node.right = cls.from_dict(payload["right"])
+        return node
 
 
 @dataclass(frozen=True)
@@ -130,11 +152,23 @@ class TreeModel(ProbabilityClassifier):
     n_features: int
     scaler: object = None
 
+    def parameters(self):
+        return {"n_features": self.n_features, "root": self.root.to_dict()}
+
+    @classmethod
+    def from_parameters(cls, params, config, scaler):
+        return cls(
+            root=TreeNode.from_dict(params["root"]),
+            config=config,
+            n_features=int(params["n_features"]),
+            scaler=scaler,
+        )
+
     def predict_proba(self, X):
         A, single = prepare_features(X, self.n_features)
         proba = np.empty(A.shape[0])
         self._assign(self.root, A, np.arange(A.shape[0]), proba)
-        return float(proba[0]) if single else proba
+        return unwrap_single(proba, single)
 
     def _assign(self, node, A, indices, out):
         if indices.size == 0:

@@ -155,22 +155,35 @@ class TestTrain:
         assert payload["n_rows"] == 84
         assert payload["rows"][0]["kind"] == "logistic"
 
-    def test_invalid_k_exits_2(self, run_cli, data_path, tmp_path):
+    @pytest.mark.parametrize(
+        "kind, flag, value",
+        [
+            ("knn", "--k", "0"),
+            ("tree", "--max-depth", "-1"),
+            ("svm", "--c", "0"),
+            ("logistic", "--lr", "0"),
+            ("logistic", "--epochs", "0"),
+        ],
+        ids=["k", "max-depth", "c", "lr", "epochs"],
+    )
+    def test_invalid_hyperparameter_flag_exits_2(
+        self, run_cli, data_path, tmp_path, kind, flag, value
+    ):
         code, _, err = run_cli(
             [
                 "train",
                 "--data",
                 data_path,
                 "--model",
-                "knn",
-                "--k",
-                "0",
+                kind,
+                flag,
+                value,
                 "--out",
                 tmp_path / "m.json",
             ]
         )
         assert code == 2
-        assert "--k" in err
+        assert flag in err
 
     def test_inapplicable_flag_named(self, run_cli, data_path, tmp_path):
         code, _, err = run_cli(
@@ -286,6 +299,34 @@ class TestEvaluate:
         _, out_a, _ = run_cli(argv)
         _, out_b, _ = run_cli(argv)
         assert strip_timestamps(json_tail(out_a)) == strip_timestamps(json_tail(out_b))
+
+    @pytest.mark.parametrize(
+        "corrupt, named",
+        [
+            (lambda p: p["parameters"].pop("weights"), "weights"),
+            (lambda p: p["hyperparameters"].update(bogus=1), "bogus"),
+            (lambda p: p["hyperparameters"].update(epochs="many"), "malformed"),
+            (None, "JSON"),
+        ],
+        ids=["missing-key", "unknown-hyperparameter", "wrong-type", "not-json"],
+    )
+    def test_malformed_model_file_exits_2(
+        self, run_cli, data_path, model_dir, tmp_path, corrupt, named
+    ):
+        path = tmp_path / "bad.json"
+        if corrupt is None:
+            path.write_text("{not json")
+        else:
+            payload = json.loads((model_dir / "logistic.json").read_text())
+            corrupt(payload)
+            path.write_text(json.dumps(payload))
+        for command in (
+            ["evaluate", "--model", path],
+            ["explain", "--model", path, "--mode", "local-shap", "--year", "1947"],
+        ):
+            code, _, err = run_cli([*command, "--data", data_path])
+            assert code == 2
+            assert named in err
 
     def test_split_recovered_from_model_metadata(self, run_cli, data_path, tmp_path):
         out_path = tmp_path / "m.json"

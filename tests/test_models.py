@@ -6,9 +6,11 @@ import pytest
 from floodxai import (
     ConfigError,
     DatasetError,
+    KnnConfig,
     KnnModel,
     LogisticConfig,
     LogisticModel,
+    MODEL_KINDS,
     SvmConfig,
     SvmModel,
     TreeConfig,
@@ -315,10 +317,18 @@ class TestModelIo:
             model_from_dict(payload)
 
     def test_hyperparameters_survive_round_trip(self, parts, tmp_path):
-        model = train_tree(parts.train, TreeConfig(max_depth=3, min_samples_leaf=5))
-        path = tmp_path / "tree.json"
-        save_model(model, path)
-        assert load_model(path).config == TreeConfig(max_depth=3, min_samples_leaf=5)
+        for kind, config in [
+            ("logistic", LogisticConfig(learning_rate=0.05, epochs=200, l2=1e-3)),
+            ("knn", KnnConfig(k=3)),
+            ("tree", TreeConfig(max_depth=3, min_samples_leaf=5)),
+            ("svm", SvmConfig(C=2.0, epochs=100, learning_rate=0.25)),
+        ]:
+            path = tmp_path / f"{kind}.json"
+            save_model(train_model(kind, parts.train, config), path)
+            assert load_model(path).config == config
+
+    def test_model_kinds_match_schema(self, load_schema):
+        assert list(MODEL_KINDS) == load_schema("model")["properties"]["kind"]["enum"]
 
     def test_train_model_dispatch(self, parts):
         for kind, klass in [
