@@ -271,7 +271,16 @@ def cmd_train(args):
     config = _build_train_config(args)
     dataset = _load_imputed(args)
     parts = split(dataset, args.split, args.seed)
-    model = train_model(args.model, parts.train, config)
+    try:
+        model = train_model(args.model, parts.train, config)
+    except ConfigError as exc:
+        # the trainer checks bounds that depend on the training rows (knn: k <= rows);
+        # config messages start with the field, which names the flag
+        flags = {field: flag for flag, (field, _) in HYPERPARAMETER_FLAGS.items()}
+        flag = flags.get(str(exc).split(" ", 1)[0])
+        if flag is None:
+            raise
+        raise ConfigError(f"{flag}: {exc}") from None
     out_path = args.out or f"{args.model}_model.json"
     manifest = build_manifest(
         "train",

@@ -342,6 +342,20 @@ class Scaler:
         return np.asarray(Z, dtype=float) * self.std + self.mean
 
 
+def _as_finite(values, what):
+    """`values` as a float array; DatasetError names its first non-finite cell."""
+    A = np.asarray(values, dtype=float)
+    rows = np.atleast_2d(A)
+    bad = np.argwhere(~np.isfinite(rows))
+    if bad.size:
+        i, j = bad[0]
+        row = f" row {i}" if A.ndim > 1 else ""
+        raise DatasetError(
+            f"{what}{row} feature {j} is {rows[i, j]}; explainer inputs must be finite"
+        )
+    return A
+
+
 def fit_scaler(train):
     """Fit a :class:`Scaler` from training rows only (population statistics).
 

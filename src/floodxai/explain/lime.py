@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import fit_scaler
+from ..dataset import _as_finite, fit_scaler
 from ..errors import ConfigError, DatasetError
 from .shapley import _predict_fn
 
@@ -192,7 +192,7 @@ def perturb(instance, discretizer, scaler, config):
     Deterministic for a given seed; sample 0 is the unmodified instance.
     """
     config.validate(discretizer.n_features)
-    x = np.asarray(instance, dtype=float).ravel()
+    x = _as_finite(instance, "instance").ravel()
     m = discretizer.n_features
     if x.shape[0] != m:
         raise DatasetError(f"instance has {x.shape[0]} features, expected {m}")

@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..dataset import _as_finite
 from ..errors import ConfigError, DatasetError
 
 EXHAUSTIVE = "exhaustive"
@@ -63,8 +64,8 @@ def _coalition_values(predict, instance, background, masks):
     """v(S) for every mask row, averaging the model over background rows."""
     masks = np.atleast_2d(np.asarray(masks, dtype=bool))
     n_masks, m = masks.shape
-    bg = np.atleast_2d(np.asarray(background, dtype=float))
-    x = np.asarray(instance, dtype=float)
+    bg = np.atleast_2d(_as_finite(background, "background"))
+    x = _as_finite(instance, "instance")
     n_bg = bg.shape[0]
     values = np.empty(n_masks)
     step = max(1, _CHUNK_ROWS // n_bg)
@@ -107,6 +108,11 @@ class ShapConfig:
         if self.background is None:
             raise ConfigError("ShapConfig.background must be provided")
         if self.n_coalition_samples == EXHAUSTIVE:
+            if n_features > MAX_EXACT_FEATURES:
+                raise ConfigError(
+                    f"exhaustive Kernel SHAP supports at most {MAX_EXACT_FEATURES} features "
+                    f"(got {n_features}); use an integer n_coalition_samples budget instead"
+                )
             return
         budget = self.n_coalition_samples
         minimum = 2 * n_features + 2
@@ -241,12 +247,13 @@ def exact_shapley(model, instance, background, feature_names=None):
     )
 
 
-def _kernel_weights(m, sizes):
-    """Shapley kernel w(z) = (M-1) / (C(M,|z|) * |z| * (M-|z|))."""
-    sizes = np.asarray(sizes)
-    return np.array(
-        [(m - 1) / (math.comb(m, int(s)) * int(s) * (m - int(s))) for s in sizes]
-    )
+@lru_cache(maxsize=8)
+def _exhaustive_weights(m):
+    """Shapley kernel (M-1) / (C(M,|z|) |z| (M-|z|)) of each _bit_table(m)[1:-1] row."""
+    by_size = [(m - 1) / (math.comb(m, s) * s * (m - s)) for s in range(1, m)]
+    weights = np.array([0.0, *by_size])[_bit_table(m)[1:-1].sum(axis=1)]
+    weights.setflags(write=False)
+    return weights
 
 
 def _sample_coalitions(m, budget, seed):
@@ -280,6 +287,31 @@ def _sample_coalitions(m, budget, seed):
     return masks.copy(), np.array(list(counts.values()), dtype=float)
 
 
+def _attribute(predict, x, config, offset=0):
+    """(phi, v(empty), v(full), n_coalitions) over one mask table: the empty coalition,
+    the regression's coalitions, the full one. Sampled mode seeds config.seed + offset."""
+    m = x.shape[0]
+    if config.n_coalition_samples == EXHAUSTIVE:
+        table, weights = _bit_table(m), _exhaustive_weights(m)
+    else:
+        budget = config.n_coalition_samples if m > 1 else 0  # one feature: no interior
+        interior, weights = _sample_coalitions(m, budget, config.seed + offset)
+        table = np.vstack([np.zeros(m, dtype=bool), interior, np.ones(m, dtype=bool)])
+    values = _coalition_values(predict, x, config.background, table)
+    v_empty, v_full = values[0], values[-1]
+    delta = v_full - v_empty
+    z = table[1:-1].astype(float)
+    design = z[:, :-1] - z[:, -1:]
+    target = values[1:-1] - v_empty - z[:, -1] * delta
+    scale = np.sqrt(weights)
+    theta, *_ = np.linalg.lstsq(design * scale[:, None], target * scale, rcond=None)
+    return np.append(theta, delta - theta.sum()), v_empty, v_full, table.shape[0]
+
+
+def _method(config):
+    return "kernel-exhaustive" if config.n_coalition_samples == EXHAUSTIVE else "kernel-sampled"
+
+
 def kernel_shap(model, instance, config, feature_names=None):
     """Kernel SHAP: weighted least squares over binary coalition vectors.
 
@@ -290,41 +322,17 @@ def kernel_shap(model, instance, config, feature_names=None):
     x = np.asarray(instance, dtype=float).ravel()
     m = x.shape[0]
     config.validate(m)
-    predict = _predict_fn(model)
-    bg = config.background
-    endpoint_masks = np.vstack([np.zeros(m, dtype=bool), np.ones(m, dtype=bool)])
-    v_empty, v_full = _coalition_values(predict, x, bg, endpoint_masks)
-    delta = v_full - v_empty
-
-    exhaustive = config.n_coalition_samples == EXHAUSTIVE
-    if m == 1:
-        phi = np.array([delta])
-        n_coalitions = 2
-    else:
-        if exhaustive:
-            masks = _bit_table(m)[1:-1]
-            weights = _kernel_weights(m, masks.sum(axis=1))
-        else:
-            masks, weights = _sample_coalitions(m, config.n_coalition_samples, config.seed)
-        values = _coalition_values(predict, x, bg, masks)
-        z = masks.astype(float)
-        design = z[:, :-1] - z[:, -1:]
-        target = values - v_empty - z[:, -1] * delta
-        scale = np.sqrt(weights)
-        theta, *_ = np.linalg.lstsq(design * scale[:, None], target * scale, rcond=None)
-        phi = np.append(theta, delta - theta.sum())
-        n_coalitions = masks.shape[0] + 2
-
+    phi, v_empty, v_full, n_coalitions = _attribute(_predict_fn(model), x, config)
     return ShapExplanation(
         feature_names=tuple(feature_names) if feature_names else _default_names(m),
         instance=x,
         phi=phi,
         base_value=float(v_empty),
         model_output=float(v_full),
-        method="kernel-exhaustive" if exhaustive else "kernel-sampled",
+        method=_method(config),
         n_coalitions=n_coalitions,
-        seed=None if exhaustive else config.seed,
-        background_fingerprint=background_fingerprint(bg),
+        seed=None if config.n_coalition_samples == EXHAUSTIVE else config.seed,
+        background_fingerprint=background_fingerprint(config.background),
     )
 
 
@@ -334,32 +342,21 @@ def global_importance(model, X, config, feature_names=None):
     In sampled mode row i uses seed + i so rows draw independent coalition
     sets while the whole aggregate stays reproducible.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.atleast_2d(_as_finite(X, "X"))
     if X.shape[0] == 0:
         raise DatasetError("global importance needs at least one instance")
     m = X.shape[1]
     config.validate(m)
-    exhaustive = config.n_coalition_samples == EXHAUSTIVE
+    predict = _predict_fn(model)
     total = np.zeros(m)
-    n_coalitions = 0
     for i, row in enumerate(X):
-        if exhaustive:
-            row_config = config
-        else:
-            row_config = ShapConfig(
-                background=config.background,
-                n_coalition_samples=config.n_coalition_samples,
-                seed=config.seed + i,
-            )
-        explanation = kernel_shap(model, row, row_config, feature_names)
-        total += np.abs(explanation.phi)
-        n_coalitions = explanation.n_coalitions
-    names = tuple(feature_names) if feature_names else _default_names(m)
+        phi, _, _, n_coalitions = _attribute(predict, row, config, offset=i)
+        total += np.abs(phi)
     return GlobalImportance(
-        feature_names=names,
+        feature_names=tuple(feature_names) if feature_names else _default_names(m),
         importances=total / X.shape[0],
         n_instances=X.shape[0],
-        method="kernel-exhaustive" if exhaustive else "kernel-sampled",
+        method=_method(config),
         n_coalitions=n_coalitions,
         seed=config.seed,
         background_fingerprint=background_fingerprint(config.background),

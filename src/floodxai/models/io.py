@@ -56,11 +56,16 @@ def model_from_dict(payload):
     """Rebuild a trained model from its serialized payload.
 
     A payload that is not a valid model file raises ConfigError naming the
-    unsupported version, unknown kind or hyperparameter, missing key, or
-    value of the wrong type.
+    unsupported version, unknown kind or hyperparameter, missing key,
+    non-object metadata, or value of the wrong type.
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"a model file holds a JSON object, got {type(payload).__name__}")
+    metadata = payload.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ConfigError(
+            f"model file metadata must be a JSON object, got {type(metadata).__name__}"
+        )
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ConfigError(

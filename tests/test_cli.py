@@ -159,12 +159,13 @@ class TestTrain:
         "kind, flag, value",
         [
             ("knn", "--k", "0"),
+            ("knn", "--k", "200"),
             ("tree", "--max-depth", "-1"),
             ("svm", "--c", "0"),
             ("logistic", "--lr", "0"),
             ("logistic", "--epochs", "0"),
         ],
-        ids=["k", "max-depth", "c", "lr", "epochs"],
+        ids=["k", "k-above-rows", "max-depth", "c", "lr", "epochs"],
     )
     def test_invalid_hyperparameter_flag_exits_2(
         self, run_cli, data_path, tmp_path, kind, flag, value
@@ -306,9 +307,16 @@ class TestEvaluate:
             (lambda p: p["parameters"].pop("weights"), "weights"),
             (lambda p: p["hyperparameters"].update(bogus=1), "bogus"),
             (lambda p: p["hyperparameters"].update(epochs="many"), "malformed"),
+            (lambda p: p.update(metadata=[]), "metadata"),
             (None, "JSON"),
         ],
-        ids=["missing-key", "unknown-hyperparameter", "wrong-type", "not-json"],
+        ids=[
+            "missing-key",
+            "unknown-hyperparameter",
+            "wrong-type",
+            "non-object-metadata",
+            "not-json",
+        ],
     )
     def test_malformed_model_file_exits_2(
         self, run_cli, data_path, model_dir, tmp_path, corrupt, named

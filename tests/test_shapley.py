@@ -5,19 +5,26 @@ the same attributions; several tests assert their agreement on top of the
 closed forms available for constant and linear models.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from floodxai import (
     ConfigError,
     DatasetError,
+    LimeConfig,
     ShapConfig,
     coalition_value,
     exact_shapley,
+    explain_local,
+    fit_discretizer,
+    fit_scaler,
     global_importance,
     kernel_shap,
+    perturb,
 )
-from floodxai.explain.shapley import EXHAUSTIVE, background_fingerprint
+from floodxai.explain.shapley import EXHAUSTIVE, MAX_EXACT_FEATURES, background_fingerprint
 
 RNG = np.random.default_rng(3)
 
@@ -168,13 +175,20 @@ class TestKernelShap:
         exact = exact_shapley(logistic, x, bg, feature_names=parts.train.feature_names)
         np.testing.assert_allclose(kernel.phi, exact.phi, atol=1e-9)
 
-    def test_single_feature_short_circuit(self):
+    @pytest.mark.parametrize("samples", [EXHAUSTIVE, 4], ids=["exhaustive", "sampled"])
+    def test_single_feature_short_circuit(self, samples):
         model = lambda X: 3.0 * np.atleast_2d(X)[:, 0]
-        config = ShapConfig(background=np.array([[1.0], [3.0]]))
+        config = ShapConfig(
+            background=np.array([[1.0], [3.0]]), n_coalition_samples=samples, seed=7
+        )
         explanation = kernel_shap(model, np.array([5.0]), config)
         # phi must carry the full gap between f(x)=15 and the base value 6
         assert explanation.phi[0] == pytest.approx(9.0, abs=1e-12)
         assert explanation.n_coalitions == 2
+        if samples == EXHAUSTIVE:
+            assert (explanation.method, explanation.seed) == ("kernel-exhaustive", None)
+        else:
+            assert (explanation.method, explanation.seed) == ("kernel-sampled", 7)
 
     def test_efficiency_imposed_even_when_sampling(self, background5, instance5):
         config = ShapConfig(background=background5, n_coalition_samples=64, seed=5)
@@ -230,6 +244,19 @@ class TestKernelShap:
         config = ShapConfig(background=background5, n_coalition_samples=64.5)
         with pytest.raises(ConfigError):
             config.validate(5)
+
+    def test_exhaustive_width_capped(self):
+        config = ShapConfig(background=np.zeros((1, MAX_EXACT_FEATURES + 1)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="at most 20 features.*budget"):
+                config.validate(MAX_EXACT_FEATURES + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # rejected before any coalition table (2^21 rows here) is built
+        assert peak < 1 << 20
+        config.validate(MAX_EXACT_FEATURES)
 
     def test_missing_background_rejected(self, instance5):
         with pytest.raises(ConfigError, match="background"):
@@ -349,3 +376,76 @@ class TestGlobalImportance:
         config = ShapConfig(background=parts.train.features()[:8])
         result = global_importance(logistic, X, config, feature_names=parts.train.feature_names)
         assert set(result.top(3)) <= set(parts.train.feature_names)
+
+
+def _with(values, index, bad):
+    values = np.array(values, dtype=float)
+    values[index] = bad
+    return values
+
+
+@pytest.mark.parametrize(
+    "entry, named",
+    [
+        (
+            lambda f, x, bg: kernel_shap(f, _with(x, 3, np.nan), ShapConfig(background=bg)),
+            "instance feature 3",
+        ),
+        (
+            lambda f, x, bg: kernel_shap(
+                f, x, ShapConfig(background=_with(bg, (2, 1), np.inf), n_coalition_samples=32)
+            ),
+            "background row 2 feature 1",
+        ),
+        (
+            lambda f, x, bg: global_importance(
+                f, _with([x, x, x], (2, 4), np.nan), ShapConfig(background=bg)
+            ),
+            "X row 2 feature 4",
+        ),
+        (
+            lambda f, x, bg: global_importance(
+                f, [x], ShapConfig(background=_with(bg, (0, 0), -np.inf))
+            ),
+            "background row 0 feature 0",
+        ),
+        (lambda f, x, bg: exact_shapley(f, _with(x, 0, np.nan), bg), "instance feature 0"),
+        (
+            lambda f, x, bg: exact_shapley(f, x, _with(bg, (1, 11), np.nan)),
+            "background row 1 feature 11",
+        ),
+        (
+            lambda f, x, bg: coalition_value(f, _with(x, 5, np.inf), [0, 5], bg),
+            "instance feature 5",
+        ),
+        (
+            lambda f, x, bg: coalition_value(f, x, [0], _with(bg, (3, 2), np.nan)),
+            "background row 3 feature 2",
+        ),
+        (
+            lambda f, x, bg: perturb(
+                _with(x, 7, np.nan), fit_discretizer(bg), fit_scaler(bg), LimeConfig()
+            ),
+            "instance feature 7",
+        ),
+        (lambda f, x, bg: explain_local(f, _with(x, 7, np.nan), bg), "instance feature 7"),
+    ],
+    ids=[
+        "kernel_shap-instance",
+        "kernel_shap-background",
+        "global_importance-instance",
+        "global_importance-background",
+        "exact_shapley-instance",
+        "exact_shapley-background",
+        "coalition_value-instance",
+        "coalition_value-background",
+        "perturb-instance",
+        "explain_local-instance",
+    ],
+)
+def test_non_finite_inputs_rejected(logistic, parts, entry, named):
+    # NaN or inf would otherwise flow into NaN attributions or probabilities
+    x = parts.test.features()[0]
+    background = parts.train.features()[:8]
+    with pytest.raises(DatasetError, match=named):
+        entry(logistic, x, background)
