@@ -132,14 +132,17 @@ def fit_discretizer(train, n_bins=4, feature_names=None):
             feature_names = train.feature_names
         else:
             feature_names = tuple(f"x{i}" for i in range(X.shape[1]))
+    missing = np.isnan(X).any(axis=0)
+    if missing.any():
+        raise DatasetError(
+            f"feature {feature_names[int(np.argmax(missing))]} contains missing values; "
+            "impute first"
+        )
+    _as_finite(X, "training")
     quantiles = np.arange(1, n_bins) / n_bins
     all_thresholds, all_stats, degenerate = [], [], []
     for f in range(X.shape[1]):
         col = X[:, f]
-        if np.isnan(col).any():
-            raise DatasetError(
-                f"feature {feature_names[f]} contains missing values; impute first"
-            )
         cuts = np.unique(np.quantile(col, quantiles))
         if np.unique(col).size < 2:
             cuts = cuts[:0]

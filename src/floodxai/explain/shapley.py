@@ -11,7 +11,10 @@ Two independent routes to the same quantity:
 
 The coalition value v(S) uses background substitution: features in S take
 the instance's values, the rest are replaced by background rows, and the
-model output (flood probability) is averaged over the background.
+model output (flood probability) is averaged over the background. The
+oracles (`exact_shapley`, `coalition_value`) always build those hybrid rows
+and call `predict_proba`; `kernel_shap` and `global_importance` use the
+model class's own `masked_proba` when it has one (logistic, SVM, tree).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -60,20 +63,54 @@ def _bit_table(n_features):
     return table
 
 
+def _hybrid_fn(predict):
+    """`masked_proba` of any predict function: it scores the hybrid rows themselves."""
+
+    def masked(x, bg, masks):
+        hybrid = np.where(masks[:, None, :], x[None, None, :], bg[None, :, :])
+        preds = np.asarray(predict(hybrid.reshape(-1, x.shape[0])), dtype=float)
+        return preds.reshape(len(masks), len(bg))
+
+    return masked
+
+
+def _defined_in(cls, name):
+    """The first class in cls's method resolution order that defines `name` itself."""
+    return next((c for c in cls.__mro__ if name in vars(c)), None)
+
+
+def _masked_fn(model):
+    """The model class's own `masked_proba` if the class that defines it also
+    defines the `predict_proba` in use; otherwise the hybrid rows through
+    `predict_proba`. Looking it up on the type keeps wrappers that forward
+    attributes (and subclasses that override `predict_proba`) on the hybrids."""
+    owner = _defined_in(type(model), "masked_proba")
+    if owner is not None and owner is _defined_in(type(model), "predict_proba"):
+        return partial(owner.masked_proba, model)
+    return _hybrid_fn(_predict_fn(model))
+
+
 def _coalition_values(predict, instance, background, masks):
-    """v(S) for every mask row, averaging the model over background rows."""
+    """v(S) for every mask row from `predict` on the hybrid rows: the oracles' path."""
+    return _masked_values(_hybrid_fn(predict), instance, background, masks)
+
+
+def _masked_values(masked, instance, background, masks):
+    """v(S) for every mask row, averaging `masked`'s probabilities over background rows."""
     masks = np.atleast_2d(np.asarray(masks, dtype=bool))
-    n_masks, m = masks.shape
+    n_masks = masks.shape[0]
     bg = np.atleast_2d(_as_finite(background, "background"))
     x = _as_finite(instance, "instance")
+    if bg.shape[1] != x.shape[0]:
+        raise DatasetError(
+            f"background has {bg.shape[1]} features but the instance has {x.shape[0]}"
+        )
     n_bg = bg.shape[0]
     values = np.empty(n_masks)
     step = max(1, _CHUNK_ROWS // n_bg)
     for start in range(0, n_masks, step):
-        chunk = masks[start : start + step]
-        hybrid = np.where(chunk[:, None, :], x[None, None, :], bg[None, :, :])
-        preds = np.asarray(predict(hybrid.reshape(-1, m)), dtype=float)
-        values[start : start + step] = preds.reshape(len(chunk), n_bg).mean(axis=1)
+        preds = masked(x, bg, masks[start : start + step])
+        values[start : start + step] = preds.mean(axis=1)
     return values
 
 
@@ -256,6 +293,24 @@ def _exhaustive_weights(m):
     return weights
 
 
+def _scaled_design(table, weights):
+    """(sqrt(w) * design, sqrt(w)) over table[1:-1]: efficiency eliminates the last
+    feature, so each column is z_i - z_last."""
+    z = table[1:-1].astype(float)
+    scale = np.sqrt(weights)
+    return (z[:, :-1] - z[:, -1:]) * scale[:, None], scale
+
+
+@lru_cache(maxsize=8)
+def _exhaustive_projection(m):
+    """theta = P @ target: the weighted least-squares solve over _bit_table(m),
+    whose design depends only on m, as one pseudo-inverse."""
+    design, scale = _scaled_design(_bit_table(m), _exhaustive_weights(m))
+    projection = np.linalg.pinv(design) * scale
+    projection.setflags(write=False)
+    return projection
+
+
 def _sample_coalitions(m, budget, seed):
     """Draw coalition masks with sizes proportional to kernel weight mass.
 
@@ -287,24 +342,26 @@ def _sample_coalitions(m, budget, seed):
     return masks.copy(), np.array(list(counts.values()), dtype=float)
 
 
-def _attribute(predict, x, config, offset=0):
+def _attribute(masked, x, config, offset=0):
     """(phi, v(empty), v(full), n_coalitions) over one mask table: the empty coalition,
     the regression's coalitions, the full one. Sampled mode seeds config.seed + offset."""
     m = x.shape[0]
-    if config.n_coalition_samples == EXHAUSTIVE:
-        table, weights = _bit_table(m), _exhaustive_weights(m)
+    exhaustive = config.n_coalition_samples == EXHAUSTIVE
+    if exhaustive:
+        table = _bit_table(m)
     else:
         budget = config.n_coalition_samples if m > 1 else 0  # one feature: no interior
         interior, weights = _sample_coalitions(m, budget, config.seed + offset)
         table = np.vstack([np.zeros(m, dtype=bool), interior, np.ones(m, dtype=bool)])
-    values = _coalition_values(predict, x, config.background, table)
+    values = _masked_values(masked, x, config.background, table)
     v_empty, v_full = values[0], values[-1]
     delta = v_full - v_empty
-    z = table[1:-1].astype(float)
-    design = z[:, :-1] - z[:, -1:]
-    target = values[1:-1] - v_empty - z[:, -1] * delta
-    scale = np.sqrt(weights)
-    theta, *_ = np.linalg.lstsq(design * scale[:, None], target * scale, rcond=None)
+    target = values[1:-1] - v_empty - table[1:-1, -1] * delta
+    if exhaustive:
+        theta = _exhaustive_projection(m) @ target
+    else:
+        design, scale = _scaled_design(table, weights)
+        theta, *_ = np.linalg.lstsq(design, target * scale, rcond=None)
     return np.append(theta, delta - theta.sum()), v_empty, v_full, table.shape[0]
 
 
@@ -322,7 +379,7 @@ def kernel_shap(model, instance, config, feature_names=None):
     x = np.asarray(instance, dtype=float).ravel()
     m = x.shape[0]
     config.validate(m)
-    phi, v_empty, v_full, n_coalitions = _attribute(_predict_fn(model), x, config)
+    phi, v_empty, v_full, n_coalitions = _attribute(_masked_fn(model), x, config)
     return ShapExplanation(
         feature_names=tuple(feature_names) if feature_names else _default_names(m),
         instance=x,
@@ -347,10 +404,10 @@ def global_importance(model, X, config, feature_names=None):
         raise DatasetError("global importance needs at least one instance")
     m = X.shape[1]
     config.validate(m)
-    predict = _predict_fn(model)
+    masked = _masked_fn(model)
     total = np.zeros(m)
     for i, row in enumerate(X):
-        phi, _, _, n_coalitions = _attribute(predict, row, config, offset=i)
+        phi, _, _, n_coalitions = _attribute(masked, row, config, offset=i)
         total += np.abs(phi)
     return GlobalImportance(
         feature_names=tuple(feature_names) if feature_names else _default_names(m),

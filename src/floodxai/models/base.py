@@ -7,11 +7,18 @@ thresholding at 0.5 (probability 0.5 maps to class 1). Each model also
 holds its frozen config dataclass as ``config`` and converts its learned
 state to and from JSON-native values with ``parameters()`` and
 ``from_parameters(params, config, scaler)``, which ``models.io`` uses.
+
+A model class may also define ``masked_proba(x, background, masks)``: the
+``(n_masks, n_background)`` flood probabilities of the hybrids that take
+the instance's value where a mask is set and the background row's value
+elsewhere, computed without building them. Kernel SHAP uses it in place of
+``predict_proba`` on the hybrids; it must agree with that to rounding.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 from ..errors import DatasetError
 
@@ -32,6 +39,15 @@ def prepare_features(X, n_features):
 def unwrap_single(values, single):
     """Undo `prepare_features`' reshape: a single vector's result as a Python scalar."""
     return values[0].item() if single else values
+
+
+def masked_linear_proba(weights, intercept, x, background, masks):
+    """`masked_proba` of sigma(w . x + b): the hybrid's logit is the background
+    row's plus w_f (x_f - bg_f) for every masked-in feature f."""
+    (x,), _ = prepare_features(x, weights.shape[0])
+    bg, _ = prepare_features(background, weights.shape[0])
+    masks = np.asarray(masks, dtype=float)
+    return expit((bg @ weights + intercept)[None, :] + masks @ (weights * (x - bg)).T)
 
 
 class ProbabilityClassifier:

@@ -14,7 +14,7 @@ from scipy.special import expit
 
 from ..dataset import fit_scaler
 from ..errors import ConfigError
-from .base import ProbabilityClassifier, prepare_features, unwrap_single
+from .base import ProbabilityClassifier, masked_linear_proba, prepare_features, unwrap_single
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,9 @@ class LogisticModel(ProbabilityClassifier):
         A, single = prepare_features(X, self.n_features)
         p = expit(A @ self.weights + self.intercept)
         return unwrap_single(p, single)
+
+    def masked_proba(self, x, background, masks):
+        return masked_linear_proba(self.weights, self.intercept, x, background, masks)
 
 
 def train_logistic(train, config=None):

@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from ..dataset import fit_scaler
 from ..errors import ConfigError
-from .base import ProbabilityClassifier, prepare_features, unwrap_single
+from .base import ProbabilityClassifier, masked_linear_proba, prepare_features, unwrap_single
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,9 @@ class SvmModel(ProbabilityClassifier):
         A, single = prepare_features(X, self.n_features)
         p = expit(A @ self.weights + self.bias)
         return unwrap_single(p, single)
+
+    def masked_proba(self, x, background, masks):
+        return masked_linear_proba(self.weights, self.bias, x, background, masks)
 
 
 def train_svm(train, config=None):

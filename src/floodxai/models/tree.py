@@ -180,6 +180,37 @@ class TreeModel(ProbabilityClassifier):
         self._assign(node.left, A, indices[mask], out)
         self._assign(node.right, A, indices[~mask], out)
 
+    def masked_proba(self, x, background, masks):
+        """Per background row, one descent over the set of masks: the set splits on
+        a mask bit only where the instance and the row take different branches, so
+        each hybrid reaches the leaf `predict_proba` would give it."""
+        (x,), _ = prepare_features(x, self.n_features)
+        bg, _ = prepare_features(background, self.n_features)
+        bits = np.ascontiguousarray(np.asarray(masks, dtype=bool).T)
+        out = np.empty((bg.shape[0], bits.shape[1]))
+        x = x.tolist()
+        for row, values in zip(bg.tolist(), out):
+            self._assign_masked(self.root, x, row, bits, None, values)
+        # row-major like the hybrids' predictions, so a mean over background rows
+        # sums in the same order and the coalition values stay bit-identical
+        return np.ascontiguousarray(out.T)
+
+    def _assign_masked(self, node, x, row, bits, members, out):
+        """Fill `out` for the masks in boolean set `members` (None: all of them)."""
+        while not node.is_leaf:
+            f, t = node.feature, node.threshold
+            x_left = x[f] <= t
+            if x_left == (row[f] <= t):
+                node = node.left if x_left else node.right
+                continue
+            x_side, row_side = (node.left, node.right) if x_left else (node.right, node.left)
+            takes_x, takes_row = bits[f], ~bits[f]
+            if members is not None:
+                takes_x, takes_row = members & takes_x, members & takes_row
+            self._assign_masked(x_side, x, row, bits, takes_x, out)
+            node, members = row_side, takes_row
+        out[slice(None) if members is None else members] = node.proba
+
     def leaves(self):
         stack, found = [self.root], []
         while stack:

@@ -24,7 +24,15 @@ from floodxai import (
     kernel_shap,
     perturb,
 )
-from floodxai.explain.shapley import EXHAUSTIVE, MAX_EXACT_FEATURES, background_fingerprint
+from floodxai.explain.shapley import (
+    _CHUNK_ROWS,
+    EXHAUSTIVE,
+    MAX_EXACT_FEATURES,
+    _bit_table,
+    _coalition_values,
+    _masked_values,
+    background_fingerprint,
+)
 
 RNG = np.random.default_rng(3)
 
@@ -167,13 +175,15 @@ class TestKernelShap:
         np.testing.assert_allclose(kernel.phi, exact.phi, atol=1e-10)
         assert kernel.base_value == pytest.approx(exact.base_value, abs=1e-12)
 
-    def test_exhaustive_matches_exact_on_trained_model(self, logistic, parts):
+    @pytest.mark.parametrize("kind", ["logistic", "svm", "tree", "knn"])
+    def test_exhaustive_matches_exact_on_trained_model(self, all_models, parts, kind):
+        model = all_models[kind]
         x = parts.test.features()[0]
         bg = parts.train.features()
         config = ShapConfig(background=bg)
-        kernel = kernel_shap(logistic, x, config, feature_names=parts.train.feature_names)
-        exact = exact_shapley(logistic, x, bg, feature_names=parts.train.feature_names)
-        np.testing.assert_allclose(kernel.phi, exact.phi, atol=1e-9)
+        kernel = kernel_shap(model, x, config, feature_names=parts.train.feature_names)
+        exact = exact_shapley(model, x, bg, feature_names=parts.train.feature_names)
+        np.testing.assert_allclose(kernel.phi, exact.phi, atol=1e-12)
 
     @pytest.mark.parametrize("samples", [EXHAUSTIVE, 4], ids=["exhaustive", "sampled"])
     def test_single_feature_short_circuit(self, samples):
@@ -429,6 +439,10 @@ def _with(values, index, bad):
             "instance feature 7",
         ),
         (lambda f, x, bg: explain_local(f, _with(x, 7, np.nan), bg), "instance feature 7"),
+        (
+            lambda f, x, bg: explain_local(f, x, _with(bg, (2, 3), np.inf)),
+            "training row 2 feature 3",
+        ),
     ],
     ids=[
         "kernel_shap-instance",
@@ -441,6 +455,7 @@ def _with(values, index, bad):
         "coalition_value-background",
         "perturb-instance",
         "explain_local-instance",
+        "explain_local-training",
     ],
 )
 def test_non_finite_inputs_rejected(logistic, parts, entry, named):
@@ -449,3 +464,83 @@ def test_non_finite_inputs_rejected(logistic, parts, entry, named):
     background = parts.train.features()[:8]
     with pytest.raises(DatasetError, match=named):
         entry(logistic, x, background)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda f, x, bg: kernel_shap(f, x, ShapConfig(background=bg)),
+        lambda f, x, bg: global_importance(f, [x, x], ShapConfig(background=bg)),
+        lambda f, x, bg: exact_shapley(f, x, bg),
+        lambda f, x, bg: coalition_value(f, x, [0, 4], bg),
+    ],
+    ids=["kernel_shap", "global_importance", "exact_shapley", "coalition_value"],
+)
+@pytest.mark.parametrize("kind", ["logistic", "tree"])
+def test_background_width_checked(all_models, parts, kind, entry):
+    # rejected before any model call, on the generic path and on a model's own
+    # masked_proba alike
+    x = parts.test.features()[0]
+    background = parts.train.features()[:3, :11]
+    with pytest.raises(DatasetError, match="background has 11 features but the instance has 12"):
+        entry(all_models[kind], x, background)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "svm", "tree"])
+def test_masked_proba_matches_hybrid_predictions(all_models, dataset, parts, kind):
+    model = all_models[kind]
+    bg = parts.train.features()
+    table = _bit_table(12)
+    chunk = _CHUNK_ROWS // len(bg)
+    subsets = [table, table[chunk : 2 * chunk], table[::7]]
+    for x in dataset.features()[[0, 45, 120]]:
+        for masks in subsets:
+            hybrid = np.where(masks[:, None, :], x, bg[None, :, :])
+            expected = model.predict_proba(hybrid.reshape(-1, 12)).reshape(len(masks), len(bg))
+            got = model.masked_proba(x, bg, masks)
+            assert got.shape == expected.shape
+            if kind == "tree":
+                np.testing.assert_array_equal(got, expected)
+            else:
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        # v(S) over the chunked loop: the tree's values are bit-identical
+        values = _masked_values(model.masked_proba, x, bg, table)
+        oracle = _coalition_values(model.predict_proba, x, bg, table)
+        if kind == "tree":
+            np.testing.assert_array_equal(values, oracle)
+        else:
+            np.testing.assert_allclose(values, oracle, rtol=0, atol=1e-12)
+
+
+class _Rescaled:
+    """Overrides predict_proba and forwards every other attribute to the model."""
+
+    def __init__(self, model):
+        self._model = model
+
+    def predict_proba(self, X):
+        return 0.9 * self._model.predict_proba(X) + 0.05
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+
+def _rescaled_subclass(model):
+    cls = type(model)
+    rescaled = lambda self, X: 0.9 * cls.predict_proba(self, X) + 0.05
+    sub = type("Rescaled" + cls.__name__, (cls,), {"predict_proba": rescaled})
+    return sub(**{f: getattr(model, f) for f in model.__dataclass_fields__})
+
+
+@pytest.mark.parametrize("wrap", [_Rescaled, _rescaled_subclass], ids=["forwarding", "subclass"])
+@pytest.mark.parametrize("kind", ["logistic", "tree"])
+def test_wrappers_explained_by_their_predict_proba(all_models, parts, kind, wrap):
+    # a wrapper reaches the model's masked_proba through forwarding, and a
+    # subclass inherits it, but neither describes what they predict
+    model = all_models[kind]
+    x = parts.test.features()[3]
+    config = ShapConfig(background=parts.train.features())
+    wrapped = kernel_shap(wrap(model), x, config).phi
+    bare = kernel_shap(lambda X: 0.9 * model.predict_proba(X) + 0.05, x, config).phi
+    np.testing.assert_array_equal(wrapped, bare)
+    assert not np.allclose(wrapped, kernel_shap(model, x, config).phi, rtol=0, atol=1e-6)
