@@ -14,7 +14,7 @@ the instance's values, the rest are replaced by background rows, and the
 model output (flood probability) is averaged over the background. The
 oracles (`exact_shapley`, `coalition_value`) always build those hybrid rows
 and call `predict_proba`; `kernel_shap` and `global_importance` use the
-model class's own `masked_proba` when it has one (logistic, SVM, tree).
+model class's own `masked_proba` when it has one (logistic, SVM, tree, KNN).
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from ..errors import ConfigError, DatasetError
 
 EXHAUSTIVE = "exhaustive"
 MAX_EXACT_FEATURES = 20
-_CHUNK_ROWS = 65536
+_CHUNK_ROWS = 65536  # hybrid rows built and scored at a time
+_CHUNK_VALUES = 1 << 20  # probabilities (masks x background rows) asked of one masked call
 
 
 def _predict_fn(model):
@@ -67,9 +68,14 @@ def _hybrid_fn(predict):
     """`masked_proba` of any predict function: it scores the hybrid rows themselves."""
 
     def masked(x, bg, masks):
-        hybrid = np.where(masks[:, None, :], x[None, None, :], bg[None, :, :])
-        preds = np.asarray(predict(hybrid.reshape(-1, x.shape[0])), dtype=float)
-        return preds.reshape(len(masks), len(bg))
+        out = np.empty((len(masks), len(bg)))
+        step = max(1, _CHUNK_ROWS // len(bg))
+        for start in range(0, len(masks), step):
+            chunk = masks[start : start + step]
+            hybrid = np.where(chunk[:, None, :], x[None, None, :], bg[None, :, :])
+            preds = np.asarray(predict(hybrid.reshape(-1, x.shape[0])), dtype=float)
+            out[start : start + step] = preds.reshape(len(chunk), len(bg))
+        return out
 
     return masked
 
@@ -107,7 +113,7 @@ def _masked_values(masked, instance, background, masks):
         )
     n_bg = bg.shape[0]
     values = np.empty(n_masks)
-    step = max(1, _CHUNK_ROWS // n_bg)
+    step = max(1, _CHUNK_VALUES // n_bg)
     for start in range(0, n_masks, step):
         preds = masked(x, bg, masks[start : start + step])
         values[start : start + step] = preds.mean(axis=1)

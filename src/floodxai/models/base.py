@@ -12,15 +12,26 @@ A model class may also define ``masked_proba(x, background, masks)``: the
 ``(n_masks, n_background)`` flood probabilities of the hybrids that take
 the instance's value where a mask is set and the background row's value
 elsewhere, computed without building them. Kernel SHAP uses it in place of
-``predict_proba`` on the hybrids; it must agree with that to rounding.
+``predict_proba`` on the hybrids; it must agree with that to rounding. All
+four classes define it: logistic and SVM through ``masked_linear_proba``
+(the ``sigmoid`` of a logit shift), tree and KNN bit-identical to scoring
+the hybrids.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from ..errors import DatasetError
+
+
+def sigmoid(z):
+    """The logistic function 1 / (1 + exp(-z)), elementwise (scipy's `expit` formula).
+
+    exp(-z) overflows to inf below z of about -709, where the result is exactly 0.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def prepare_features(X, n_features):
@@ -47,7 +58,7 @@ def masked_linear_proba(weights, intercept, x, background, masks):
     (x,), _ = prepare_features(x, weights.shape[0])
     bg, _ = prepare_features(background, weights.shape[0])
     masks = np.asarray(masks, dtype=float)
-    return expit((bg @ weights + intercept)[None, :] + masks @ (weights * (x - bg)).T)
+    return sigmoid((bg @ weights + intercept)[None, :] + masks @ (weights * (x - bg)).T)
 
 
 class ProbabilityClassifier:

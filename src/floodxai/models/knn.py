@@ -1,15 +1,25 @@
-"""K-nearest-neighbors classifier over standardized rainfall features."""
+"""K-nearest-neighbors classifier over standardized rainfall features.
+
+A distance is the square root of the squared per-feature differences summed
+in feature order 0..M-1: the floating-point steps of scipy's ``cdist``, whose
+values it equals bit for bit. The training rows are kept split by label, so
+a vote needs only the k nearest of each half.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ..dataset import fit_scaler
 from ..errors import ConfigError, DatasetError
 from .base import ProbabilityClassifier, prepare_features, unwrap_single
+
+# float64 distances computed at a time: a block of query rows, a block of masks
+_QUERY_BLOCK = 1 << 15
+_MASK_BLOCK = 1 << 19
 
 
 def euclidean_distance(a, b):
@@ -19,6 +29,39 @@ def euclidean_distance(a, b):
     if a.shape != b.shape:
         raise DatasetError(f"length mismatch: {a.shape} vs {b.shape}")
     return float(np.sqrt(np.sum((a - b) ** 2)))
+
+
+def _vote(D2, n0, k):
+    """Flood probability of each row of squared distances D2, whose first n0 columns
+    are label-0 training rows and the rest label-1; sorts both halves of each row
+    in place.
+
+    The rows strictly closer than the k-th distance vote; the rest of the k slots
+    are shared equally among the rows at exactly the k-th distance. The square
+    root is monotone, so sorting squared distances orders the distances; it is
+    taken only where ties are decided: the first k of each half, and the rows
+    whose tie at the k-th distance runs past column k.
+    """
+    halves = (D2[:, :n0], D2[:, n0:])
+    heads = np.full((2, k, len(D2)), np.inf)
+    for half, head in zip(halves, heads):
+        half.sort(axis=1)
+        head[: half.shape[1]] = np.sqrt(half[:, :k].T)
+    # the k-th smallest of two sorted lists: the best split of the k slots between them
+    kth = np.minimum(heads[0, k - 1], heads[1, k - 1])
+    for i in range(1, k):
+        np.minimum(kth, np.maximum(heads[0, i - 1], heads[1, k - 1 - i]), out=kth)
+    closer, at = [], []
+    for half, head in zip(halves, heads):
+        width = min(k, half.shape[1])
+        closer.append((head[:width] < kth).sum(axis=0))
+        tied = (head[:width] == kth).sum(axis=0)
+        if half.shape[1] > k:
+            runs = np.flatnonzero(head[k - 1] == kth)
+            tied[runs] = (np.sqrt(half[runs]) == kth[runs, None]).sum(axis=1)
+        at.append(tied)
+    votes = closer[1] + (k - closer[0] - closer[1]) * at[1] / (at[0] + at[1])
+    return votes / k
 
 
 @dataclass(frozen=True)
@@ -57,47 +100,117 @@ class KnnModel(ProbabilityClassifier):
 
     @classmethod
     def from_parameters(cls, params, config, scaler):
+        train_scaled = np.asarray(params["train_scaled"], dtype=float)
+        train_labels = np.asarray(params["train_labels"], dtype=int)
+        if train_scaled.ndim != 2:
+            raise ConfigError(
+                f"train_scaled must be a list of rows, got shape {train_scaled.shape}"
+            )
+        n = len(train_scaled)
+        if len(train_labels) != n:
+            raise ConfigError(
+                f"train_labels has {len(train_labels)} entries but train_scaled has {n} rows"
+            )
+        if not np.isin(train_labels, (0, 1)).all():
+            raise ConfigError(
+                f"train_labels must be 0 or 1, got {np.unique(train_labels).tolist()}"
+            )
+        if config.k > n:
+            raise ConfigError(
+                f"k must satisfy 1 <= k <= {n} stored training rows, got {config.k}"
+            )
         return cls(
-            config=config,
-            train_scaled=np.asarray(params["train_scaled"], dtype=float),
-            train_labels=np.asarray(params["train_labels"], dtype=int),
-            scaler=scaler,
+            config=config, train_scaled=train_scaled, train_labels=train_labels, scaler=scaler
         )
 
-    def _distances(self, X):
-        A, single = prepare_features(X, self.n_features)
-        return cdist(self.scaler.transform(A), self.train_scaled), single
+    @cached_property
+    def _by_label(self):
+        """(training rows feature-major with label-0 rows first, label-0 count)."""
+        order = np.argsort(self.train_labels, kind="stable")
+        n0 = int(np.sum(self.train_labels == 0))
+        return np.ascontiguousarray(self.train_scaled[order].T), n0
 
-    def _proba_from_distances(self, D):
-        k = self.config.k
-        y = self.train_labels.astype(float)
-        kth = np.sort(D, axis=1)[:, k - 1]
-        closer = D < kth[:, None]
-        at_kth = D == kth[:, None]
-        n_closer = closer.sum(axis=1)
-        n_at = at_kth.sum(axis=1)
-        votes = closer @ y + (k - n_closer) * (at_kth @ y) / n_at
-        return votes / k
+    def _squared_distances(self, X):
+        """Squared distances from each row of X to the training rows, in `_by_label` order."""
+        A, single = prepare_features(X, self.n_features)
+        queries = np.ascontiguousarray(self.scaler.transform(A).T)
+        train, _ = self._by_label
+        D = np.zeros((A.shape[0], train.shape[1]))
+        step = max(1, _QUERY_BLOCK // train.shape[1])
+        diff = np.empty((min(step, len(D)), train.shape[1]))
+        for start in range(0, len(D), step):
+            block = D[start : start + step]
+            d = diff[: len(block)]
+            for q, t in zip(queries[:, start : start + step], train):
+                np.subtract(q[:, None], t, out=d)
+                np.square(d, out=d)
+                block += d
+        return D, single
 
     def predict_proba(self, X):
-        D, single = self._distances(X)
-        proba = self._proba_from_distances(D)
-        return unwrap_single(proba, single)
+        D2, single = self._squared_distances(X)
+        return unwrap_single(_vote(D2, self._by_label[1], self.config.k), single)
 
     def predict(self, X):
         """Majority vote; an exact 50/50 vote falls to the nearest neighbor's class."""
-        D, single = self._distances(X)
-        proba = self._proba_from_distances(D)
+        D2, single = self._squared_distances(X)
+        n0 = self._by_label[1]
+        proba = _vote(D2, n0, self.config.k)
         labels = (proba >= 0.5).astype(int)
-        tied = proba == 0.5
-        if tied.any():
-            y = self.train_labels.astype(float)
-            nearest = D.min(axis=1)
-            for i in np.flatnonzero(tied):
-                at_min = D[i] == nearest[i]
-                # nearest neighbors that themselves split evenly keep class 1
-                labels[i] = 1 if y[at_min].mean() >= 0.5 else 0
+        for i in np.flatnonzero(proba == 0.5):
+            distances = np.sqrt(D2[i])
+            at_min = distances == distances.min()
+            # nearest neighbors that themselves split evenly keep class 1
+            labels[i] = 1 if at_min[n0:].sum() >= at_min[:n0].sum() else 0
         return unwrap_single(labels, single)
+
+    def masked_proba(self, x, background, masks):
+        """`masked_proba` without hybrid rows: each squared distance is the sum, in
+        feature order, of per-feature terms taken from the instance or the
+        background row. The masks are lexsorted and walked in blocks, so masks that
+        agree on features 0..j mostly share a block and one partial sum over them."""
+        train, n0 = self._by_label
+        (x,), _ = prepare_features(x, self.n_features)
+        bg, _ = prepare_features(background, self.n_features)
+        bg_terms = np.square(self.scaler.transform(bg).T[:, :, None] - train[:, None, :])
+        # laid out like bg_terms, so each level adds whole (background, train) slabs
+        x_terms = np.empty_like(bg_terms)
+        x_terms[...] = np.square(self.scaler.transform(x)[:, None, None] - train[:, None, :])
+        masks = np.atleast_2d(np.asarray(masks, dtype=bool))
+        order = np.lexsort(masks.T[::-1])
+        step = max(1, _MASK_BLOCK // bg_terms[0].size)
+        buffers = np.empty((2, min(step, len(masks))) + bg_terms.shape[1:])
+        out = np.empty((len(masks), len(bg)))
+        for start in range(0, len(masks), step):
+            rows = order[start : start + step]
+            sums, group = _prefix_sums(masks[rows], x_terms, bg_terms, buffers)
+            proba = _vote(sums.reshape(-1, train.shape[1]), n0, self.config.k)
+            out[rows] = proba.reshape(len(sums), len(bg))[group]
+        return out
+
+
+def _prefix_sums(bits, x_terms, bg_terms, buffers):
+    """(squared distances of each distinct mask in `bits`, the distinct-mask index of
+    each row). Level j adds feature j's term to every distinct prefix 0..j once;
+    `buffers` holds two levels."""
+    group = np.zeros(len(bits), dtype=np.intp)
+    sums = np.zeros((1,) + bg_terms.shape[1:])
+    for j in range(bits.shape[1]):
+        # children of every prefix: bit-0 (background term) ones first, then bit-1
+        keys, group = np.unique(bits[:, j] * len(sums) + group, return_inverse=True)
+        split = np.searchsorted(keys, len(sums))
+        nxt = buffers[j % 2, : len(keys)]
+        for parents, children, term in (
+            (keys[:split], nxt[:split], bg_terms[j]),
+            (keys[split:] - len(sums), nxt[split:], x_terms[j]),
+        ):
+            if len(parents) == len(sums):  # every prefix has this child
+                np.add(sums, term, out=children)
+            else:
+                np.take(sums, parents, axis=0, out=children, mode="clip")
+                children += term
+        sums = nxt
+    return sums, group
 
 
 def train_knn(train, k=5):

@@ -10,11 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from ..dataset import fit_scaler
 from ..errors import ConfigError
-from .base import ProbabilityClassifier, masked_linear_proba, prepare_features, unwrap_single
+from .base import (
+    ProbabilityClassifier,
+    masked_linear_proba,
+    prepare_features,
+    sigmoid,
+    unwrap_single,
+)
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,7 @@ def loss_and_gradient(weights, intercept, X, y, l2):
     the L2 penalty applies to the weights only, never the intercept.
     """
     z = X @ weights + intercept
-    p = expit(z)
+    p = sigmoid(z)
     n = X.shape[0]
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * np.dot(weights, weights))
     grad_w = X.T @ (p - y) / n + l2 * weights
@@ -80,7 +85,7 @@ class LogisticModel(ProbabilityClassifier):
 
     def predict_proba(self, X):
         A, single = prepare_features(X, self.n_features)
-        p = expit(A @ self.weights + self.intercept)
+        p = sigmoid(A @ self.weights + self.intercept)
         return unwrap_single(p, single)
 
     def masked_proba(self, x, background, masks):

@@ -12,11 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from ..dataset import fit_scaler
 from ..errors import ConfigError
-from .base import ProbabilityClassifier, masked_linear_proba, prepare_features, unwrap_single
+from .base import (
+    ProbabilityClassifier,
+    masked_linear_proba,
+    prepare_features,
+    sigmoid,
+    unwrap_single,
+)
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ class SvmModel(ProbabilityClassifier):
     def predict_proba(self, X):
         """Sigmoid of the margin: a smooth, uncalibrated score in [0, 1]."""
         A, single = prepare_features(X, self.n_features)
-        p = expit(A @ self.weights + self.bias)
+        p = sigmoid(A @ self.weights + self.bias)
         return unwrap_single(p, single)
 
     def masked_proba(self, x, background, masks):

@@ -7,7 +7,7 @@ local weights, with negative bars extending left of the axis.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 
 def bar_chart(labels, values, width=50, value_format="{:.2f}"):
@@ -60,7 +60,7 @@ def _svg_header(n_bars, title):
     if title:
         parts.append(
             f'<text x="{_CHART_WIDTH / 2:.0f}" y="20" text-anchor="middle" '
-            f'font-size="15">{escape(title)}</text>'
+            f'font-size="15">{escape(title, quote=False)}</text>'
         )
     return parts, height
 
@@ -77,7 +77,7 @@ def svg_bar_chart(labels, values, title=""):
         w = abs(value) / peak * span if peak > 0 else 0.0
         parts.append(
             f'<text x="{_LABEL_SPACE - 8}" y="{y + 15}" text-anchor="end">'
-            f"{escape(label)}</text>"
+            f"{escape(label, quote=False)}</text>"
         )
         parts.append(
             f'<rect x="{_LABEL_SPACE}" y="{y}" width="{w:.1f}" '
@@ -109,7 +109,7 @@ def svg_two_sided_bar_chart(labels, values, title=""):
         color = "#b44646" if value < 0 else "#4682b4"
         parts.append(
             f'<text x="{_LABEL_SPACE - 8}" y="{y + 15}" text-anchor="end">'
-            f"{escape(label)}</text>"
+            f"{escape(label, quote=False)}</text>"
         )
         parts.append(
             f'<rect x="{x:.1f}" y="{y}" width="{w:.1f}" height="{_BAR_HEIGHT}" '

@@ -1,11 +1,16 @@
 """End-to-end command-line flows: flags, reports, schemas, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import floodxai
 from floodxai import MODEL_KINDS, load_model, strip_timestamps
 from floodxai.cli import main as cli_main
 
@@ -34,6 +39,24 @@ def model_dir(tmp_path_factory, data_path):
         )
         assert code == 0
     return directory
+
+
+def test_cli_import_loads_no_scipy_or_xml_sax():
+    # scipy once cost about half of every fresh command's run time
+    probe = (
+        "import sys; bare = set(sys.modules); import floodxai.cli; "
+        "print(*sorted(set(sys.modules) - bare))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(floodxai.__file__).parents[1])},
+    )
+    added = result.stdout.split()
+    assert "floodxai.cli" in added
+    assert [m for m in added if m.split(".")[0] == "scipy" or m.startswith("xml.sax")] == []
 
 
 class TestSummary:
@@ -302,13 +325,17 @@ class TestEvaluate:
         assert strip_timestamps(json_tail(out_a)) == strip_timestamps(json_tail(out_b))
 
     @pytest.mark.parametrize(
-        "corrupt, named",
+        "kind, corrupt, named",
         [
-            (lambda p: p["parameters"].pop("weights"), "weights"),
-            (lambda p: p["hyperparameters"].update(bogus=1), "bogus"),
-            (lambda p: p["hyperparameters"].update(epochs="many"), "malformed"),
-            (lambda p: p.update(metadata=[]), "metadata"),
-            (None, "JSON"),
+            ("logistic", lambda p: p["parameters"].pop("weights"), "weights"),
+            ("logistic", lambda p: p["hyperparameters"].update(bogus=1), "bogus"),
+            ("logistic", lambda p: p["hyperparameters"].update(epochs="many"), "malformed"),
+            ("logistic", lambda p: p.update(metadata=[]), "metadata"),
+            ("logistic", None, "JSON"),
+            ("knn", lambda p: p["hyperparameters"].update(k=500), "k must satisfy"),
+            ("knn", lambda p: p["parameters"]["train_labels"].pop(), "train_labels has"),
+            ("knn", lambda p: p["parameters"]["train_labels"].__setitem__(0, 2), "0 or 1"),
+            ("knn", lambda p: p["parameters"].update(train_scaled=[1.0, 2.0]), "list of rows"),
         ],
         ids=[
             "missing-key",
@@ -316,16 +343,20 @@ class TestEvaluate:
             "wrong-type",
             "non-object-metadata",
             "not-json",
+            "knn-k-above-rows",
+            "knn-short-labels",
+            "knn-non-binary-label",
+            "knn-flat-rows",
         ],
     )
     def test_malformed_model_file_exits_2(
-        self, run_cli, data_path, model_dir, tmp_path, corrupt, named
+        self, run_cli, data_path, model_dir, tmp_path, kind, corrupt, named
     ):
         path = tmp_path / "bad.json"
         if corrupt is None:
             path.write_text("{not json")
         else:
-            payload = json.loads((model_dir / "logistic.json").read_text())
+            payload = json.loads((model_dir / f"{kind}.json").read_text())
             corrupt(payload)
             path.write_text(json.dumps(payload))
         for command in (

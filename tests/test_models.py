@@ -1,5 +1,7 @@
 """Unit behavior of the four classifiers and the model JSON round-trip."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from floodxai import (
     train_tree,
 )
 from floodxai.models import model_from_dict, model_to_dict
+from floodxai.models.base import sigmoid
 
 RNG = np.random.default_rng(7)
 
@@ -50,6 +53,23 @@ class TestEntropy:
     def test_empty_multiset_rejected(self):
         with pytest.raises(DatasetError):
             entropy([])
+
+
+class TestSigmoid:
+    def test_saturates_exactly_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            saturated = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
+        np.testing.assert_array_equal(saturated, [0.0, 0.5, 1.0])
+
+    def test_nan_passes_through(self):
+        assert np.isnan(sigmoid(np.array([np.nan]))).all()
+
+    def test_within_4_ulp_of_scipy_expit(self):
+        expit = pytest.importorskip("scipy.special").expit
+        z = np.concatenate([np.linspace(-750.0, 750.0, 300_001), np.linspace(-40, 40, 200_001)])
+        reference = expit(z)
+        assert np.all(np.abs(sigmoid(z) - reference) <= 4 * np.spacing(reference))
 
 
 class TestLogistic:
@@ -169,6 +189,15 @@ class TestKnn:
             train_knn(ds, k=0)
         with pytest.raises(ConfigError):
             train_knn(ds, k=4)
+
+    def test_distances_equal_scipy_cdist(self, parts):
+        # summed in feature order, then square-rooted: scipy's exact steps
+        cdist = pytest.importorskip("scipy.spatial.distance").cdist
+        model = train_knn(parts.train)
+        X = np.vstack([parts.test.features(), RNG.normal(500.0, 300.0, size=(3000, 12))])
+        order = np.argsort(model.train_labels, kind="stable")
+        expected = cdist(model.scaler.transform(X), model.train_scaled[order])
+        np.testing.assert_array_equal(np.sqrt(model._squared_distances(X)[0]), expected)
 
     def test_k_equals_n_predicts_base_rate(self, make_dataset):
         ds = make_dataset([[0], [1], [2], [3]], [0, 1, 1, 1])

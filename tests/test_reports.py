@@ -164,6 +164,13 @@ class TestSvgCharts:
         assert "a<b&c" not in svg
         assert "a&lt;b&amp;c" in svg
 
+    @pytest.mark.parametrize("chart", [svg_bar_chart, svg_two_sided_bar_chart])
+    def test_markup_escaped_quotes_kept(self, chart):
+        # &, < and > become entities; quotes stay as typed in text content
+        svg = chart(["a&b<c>d\"e'f"], [1.0], title="T&<>\"'")
+        assert 'font-size="15">T&amp;&lt;&gt;"\'</text>' in svg
+        assert 'text-anchor="end">a&amp;b&lt;c&gt;d"e\'f</text>' in svg
+
 
 @pytest.fixture(scope="module")
 def views(logistic, parts):

@@ -13,7 +13,10 @@ import pytest
 from floodxai import (
     ConfigError,
     DatasetError,
+    KnnConfig,
+    KnnModel,
     LimeConfig,
+    Scaler,
     ShapConfig,
     coalition_value,
     exact_shapley,
@@ -24,12 +27,14 @@ from floodxai import (
     kernel_shap,
     perturb,
 )
+from floodxai.explain import shapley
 from floodxai.explain.shapley import (
     _CHUNK_ROWS,
     EXHAUSTIVE,
     MAX_EXACT_FEATURES,
     _bit_table,
     _coalition_values,
+    _masked_fn,
     _masked_values,
     background_fingerprint,
 )
@@ -486,30 +491,101 @@ def test_background_width_checked(all_models, parts, kind, entry):
         entry(all_models[kind], x, background)
 
 
-@pytest.mark.parametrize("kind", ["logistic", "svm", "tree"])
+@pytest.mark.parametrize("kind", ["logistic", "svm", "tree", "knn"])
 def test_masked_proba_matches_hybrid_predictions(all_models, dataset, parts, kind):
     model = all_models[kind]
-    bg = parts.train.features()
+    exact = kind in ("tree", "knn")
     table = _bit_table(12)
-    chunk = _CHUNK_ROWS // len(bg)
+    train = parts.train.features()
+    chunk = _CHUNK_ROWS // len(train)
     subsets = [table, table[chunk : 2 * chunk], table[::7]]
-    for x in dataset.features()[[0, 45, 120]]:
-        for masks in subsets:
-            hybrid = np.where(masks[:, None, :], x, bg[None, :, :])
-            expected = model.predict_proba(hybrid.reshape(-1, 12)).reshape(len(masks), len(bg))
-            got = model.masked_proba(x, bg, masks)
-            assert got.shape == expected.shape
-            if kind == "tree":
-                np.testing.assert_array_equal(got, expected)
+    for bg in (train, train[10:15], train[:1]):
+        for x in dataset.features()[[0, 45, 120]]:
+            for masks in subsets:
+                hybrid = np.where(masks[:, None, :], x, bg[None, :, :])
+                expected = model.predict_proba(hybrid.reshape(-1, 12)).reshape(len(masks), len(bg))
+                got = model.masked_proba(x, bg, masks)
+                assert got.shape == expected.shape
+                if exact:
+                    np.testing.assert_array_equal(got, expected)
+                else:
+                    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            # v(S) over the chunked loop: the tree's and KNN's values are bit-identical
+            values = _masked_values(model.masked_proba, x, bg, table)
+            oracle = _coalition_values(model.predict_proba, x, bg, table)
+            if exact:
+                np.testing.assert_array_equal(values, oracle)
             else:
-                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-        # v(S) over the chunked loop: the tree's values are bit-identical
-        values = _masked_values(model.masked_proba, x, bg, table)
-        oracle = _coalition_values(model.predict_proba, x, bg, table)
-        if kind == "tree":
-            np.testing.assert_array_equal(values, oracle)
-        else:
-            np.testing.assert_allclose(values, oracle, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(values, oracle, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "tree", "knn"])
+def test_chunking_leaves_coalition_values_unchanged(all_models, parts, kind, monkeypatch):
+    # masked calls and hybrid batches split at any mask count give the same v(S)
+    model = all_models[kind]
+    x = parts.test.features()[2]
+    bg = parts.train.features()[:7]
+    table = _bit_table(12)
+    whole = _masked_values(_masked_fn(model), x, bg, table)
+    oracle = _coalition_values(model.predict_proba, x, bg, table)
+    monkeypatch.setattr(shapley, "_CHUNK_VALUES", 7 * 300)
+    monkeypatch.setattr(shapley, "_CHUNK_ROWS", 7 * 100)
+    np.testing.assert_array_equal(_masked_values(_masked_fn(model), x, bg, table), whole)
+    np.testing.assert_array_equal(_coalition_values(model.predict_proba, x, bg, table), oracle)
+
+
+def _reference_knn_proba(model, X):
+    """The KNN vote by its definition, over whole sorted rows: rows strictly closer than
+    the k-th distance vote, the rest of the k slots are shared among rows at it."""
+    k, y = model.config.k, model.train_labels.astype(float)
+    Z = model.scaler.transform(np.atleast_2d(X))
+    D = np.sqrt(((Z[:, None, :] - model.train_scaled[None, :, :]) ** 2).sum(axis=2))
+    kth = np.sort(D, axis=1)[:, k - 1, None]
+    closer, at = D < kth, D == kth
+    return (closer @ y + (k - closer.sum(axis=1)) * (at @ y) / at.sum(axis=1)) / k
+
+
+@pytest.mark.parametrize(
+    "k, single_class",
+    [(k, False) for k in range(1, 8)] + [(3, True)],
+    ids=[f"k{k}" for k in range(1, 8)] + ["k3-single-class"],
+)
+def test_knn_masked_proba_exact_under_ties(k, single_class):
+    # binary features and triplicated training rows put many distances exactly at
+    # the k-th value in both label halves, so vote slots are shared and ties run
+    # past column k; integer sums are exact, so the reference is exact too
+    rng = np.random.default_rng(k)
+    train = np.repeat(rng.integers(0, 2, size=(8, 4)).astype(float), 3, axis=0)
+    labels = np.ones(len(train), dtype=int) if single_class else rng.integers(0, 2, len(train))
+    model = KnnModel(KnnConfig(k), train, labels, Scaler(np.zeros(4), np.ones(4)))
+    x = rng.integers(0, 2, size=4).astype(float)
+    bg = rng.integers(0, 2, size=(3, 4)).astype(float)
+    for masks in (_bit_table(4), rng.random((40, 4)) < 0.5):
+        hybrid = np.where(masks[:, None, :], x, bg[None, :, :]).reshape(-1, 4)
+        expected = _reference_knn_proba(model, hybrid).reshape(len(masks), len(bg))
+        np.testing.assert_array_equal(model.predict_proba(hybrid), expected.ravel())
+        np.testing.assert_array_equal(model.masked_proba(x, bg, masks), expected)
+
+
+@pytest.mark.parametrize(
+    "train",
+    [
+        # in feature order 1e16 + 1 + 1 rounds to 1e16, a tie; summed the other
+        # way round the first row would be farther
+        [[1e8, 1.0, 1.0], [1e8, 0.0, 0.0]],
+        # squared distances 1 and 1 + 2^-52 differ, but both distances round to 1.0
+        [[1.0, 0.0, 0.0], [1.0, 2.0**-26, 0.0]],
+    ],
+    ids=["summation-order", "square-root-ties"],
+)
+def test_knn_rounds_like_cdist(train):
+    # a distance is sqrt of the squared differences summed in feature order, as in
+    # scipy's cdist; here that makes the two training rows tie for the one vote
+    identity = Scaler(np.zeros(3), np.ones(3))
+    model = KnnModel(KnnConfig(1), np.array(train), np.array([1, 0]), identity)
+    x = np.zeros(3)
+    assert model.predict_proba(x) == 0.5
+    np.testing.assert_array_equal(model.masked_proba(x, x[None, :], _bit_table(3)), 0.5)
 
 
 class _Rescaled:
@@ -533,7 +609,7 @@ def _rescaled_subclass(model):
 
 
 @pytest.mark.parametrize("wrap", [_Rescaled, _rescaled_subclass], ids=["forwarding", "subclass"])
-@pytest.mark.parametrize("kind", ["logistic", "tree"])
+@pytest.mark.parametrize("kind", ["logistic", "tree", "knn"])
 def test_wrappers_explained_by_their_predict_proba(all_models, parts, kind, wrap):
     # a wrapper reaches the model's masked_proba through forwarding, and a
     # subclass inherits it, but neither describes what they predict
