@@ -298,8 +298,15 @@ def provenance_lines(dataset):
     return tuple(event.as_line() for event in dataset.imputations)
 
 
+def _check_seed(seed):
+    """Reject a negative seed, which numpy's generators refuse with a bare ValueError."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+
+
 def split(dataset, train_fraction=0.7, seed=0):
     """Deterministic shuffled train/test split; train size = floor(fraction * n)."""
+    _check_seed(seed)
     n = len(dataset)
     if n == 0:
         raise DatasetError("cannot split an empty dataset")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import _as_finite, fit_scaler
+from ..dataset import _as_finite, _check_seed, fit_scaler
 from ..errors import ConfigError, DatasetError
 from .shapley import _predict_fn
 
@@ -47,14 +47,17 @@ class LimeConfig:
                 f"n_perturbations ({self.n_perturbations}) must be at least "
                 f"10 x n_selected_features ({10 * self.n_selected_features})"
             )
-        if self.kernel_width is not None and self.kernel_width <= 0:
-            raise ConfigError(f"kernel_width must be positive, got {self.kernel_width}")
+        if self.kernel_width is not None and not 0 < self.kernel_width < np.inf:
+            raise ConfigError(
+                f"kernel_width must be a positive finite number, got {self.kernel_width}"
+            )
         if self.n_bins < 2:
             raise ConfigError(f"n_bins must be at least 2, got {self.n_bins}")
         if self.resample not in _RESAMPLE_MODES:
             raise ConfigError(
                 f"resample must be one of {_RESAMPLE_MODES}, got {self.resample!r}"
             )
+        _check_seed(self.seed)
 
     def effective_kernel_width(self, n_features):
         """Default sigma = 0.75 * sqrt(M) in standardized-feature space."""
@@ -319,14 +322,48 @@ def _ridge_wls(bits, y, weights, ridge=RIDGE_LAMBDA):
     return beta, intercept, float(weights @ residual**2)
 
 
+def _forward_select(bits, y, weights, candidates, n_select):
+    """Greedy forward selection of bit columns by weighted-SSE reduction.
+
+    Each step adds the candidate whose ridge WLS fit on (selected + [f])
+    has the least weighted SSE, ties to the earliest candidate. The
+    proximity-weighted, centred moment matrix of [bits, y] is formed once;
+    a trial's fit solves its ridged Gram submatrix G beta = c, and its SSE
+    is s_yy - 2 beta.c + beta' G beta, the residual sum `_ridge_wls` reports.
+    All remaining candidates of a step are scored by one batched solve.
+    """
+    m = bits.shape[1]
+    z = np.column_stack([bits, y])
+    zc = (z - weights @ z / weights.sum()) * np.sqrt(weights)[:, None]
+    moments = zc.T @ zc
+    gram, cross, s_yy = moments[:m, :m], moments[:m, m], moments[m, m]
+    selected, remaining = [], list(candidates)
+    for step in range(min(n_select, len(remaining))):
+        trials = np.array([selected + [f] for f in remaining])
+        g = gram[trials[:, :, None], trials[:, None, :]]
+        c = cross[trials]
+        # an (n, s, 1) right-hand side is a stack of columns in numpy 1.x and 2.x
+        beta = np.linalg.solve(
+            g + RIDGE_LAMBDA * np.eye(step + 1), c[:, :, None]
+        )[:, :, 0]
+        sse = s_yy - 2.0 * np.einsum("ns,ns->n", beta, c) + np.einsum(
+            "ns,nst,nt->n", beta, g, beta
+        )
+        selected.append(int(remaining.pop(int(np.argmin(sse)))))
+    return selected
+
+
 def fit_local_surrogate(model, samples, config, feature_names=None, discretizer=None):
     """Fit the sparse proximity-weighted surrogate on a perturbation set.
 
     Proximity pi(z) = exp(-d(x, z)^2 / sigma^2). Sparsity is enforced by
     forward-selecting n_selected_features bit columns (greedy weighted-SSE
-    reduction, ties to the lowest feature index), then refitting ridge
-    weighted least squares on the selected set. Reports the weighted R^2
-    of the final surrogate as local_fidelity.
+    reduction, ties to the lowest feature index), scoring every trial from
+    one weighted Gram matrix of the bits and the model output, then
+    refitting ridge weighted least squares on the selected set. Reports
+    the weighted R^2 of the final surrogate as local_fidelity. A design
+    with fewer than two rows, or whose rows all equal the first, is
+    rejected.
     """
     x = samples.instance
     m = x.shape[0]
@@ -337,40 +374,26 @@ def fit_local_surrogate(model, samples, config, feature_names=None, discretizer=
             if discretizer is not None
             else tuple(f"x{i}" for i in range(m))
         )
-    bits = samples.bits.astype(float)
-    if np.unique(samples.bits, axis=0).shape[0] < 2:
+    varies = (samples.bits != samples.bits[:1]).any(axis=0)
+    if samples.bits.shape[0] < 2 or not varies.any():
         raise DatasetError(
             "degenerate perturbation design: all interpretable vectors are "
             "identical, so no surrogate can be fit"
         )
+    bits = samples.bits.astype(float)
     sigma = config.effective_kernel_width(m)
     proximity = np.exp(-samples.distances**2 / sigma**2)
 
     predict = _predict_fn(model)
     y = np.asarray(predict(samples.X), dtype=float)
 
-    candidates = [f for f in range(m) if np.ptp(samples.bits[:, f]) > 0]
-    selected = []
-    for _ in range(min(config.n_selected_features, len(candidates))):
-        best_f, best_sse = None, None
-        for f in candidates:
-            if f in selected:
-                continue
-            trial = selected + [f]
-            _, _, sse = _ridge_wls(bits[:, trial], y, proximity)
-            if best_sse is None or sse < best_sse:
-                best_f, best_sse = f, sse
-        if best_f is None:
-            break
-        selected.append(best_f)
+    selected = _forward_select(
+        bits, y, proximity, np.flatnonzero(varies), config.n_selected_features
+    )
 
-    if selected:
-        beta, intercept, _ = _ridge_wls(bits[:, selected], y, proximity)
-        fitted = bits[:, selected] @ beta + intercept
-    else:
-        intercept = float(proximity @ y / proximity.sum())
-        beta = np.empty(0)
-        fitted = np.full(y.shape, intercept)
+    # a varying column exists and n_selected_features >= 1, so selected is non-empty
+    beta, intercept, _ = _ridge_wls(bits[:, selected], y, proximity)
+    fitted = bits[:, selected] @ beta + intercept
 
     y_mean = float(proximity @ y / proximity.sum())
     ss_res = float(proximity @ (y - fitted) ** 2)

@@ -26,7 +26,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from ..dataset import _as_finite
+from ..dataset import _as_finite, _check_seed
 from ..errors import ConfigError, DatasetError
 
 EXHAUSTIVE = "exhaustive"
@@ -164,6 +164,7 @@ class ShapConfig:
                 f"n_coalition_samples must be '{EXHAUSTIVE}' or an integer >= "
                 f"{minimum} (2M + 2 for M={n_features}), got {budget!r}"
             )
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True, eq=False)

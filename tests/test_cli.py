@@ -694,3 +694,37 @@ class TestParser:
     def test_missing_subcommand_rejected(self, run_cli):
         code, _, _ = run_cli([])
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, extra, fragment",
+    [
+        ("local-lime", ["--year", "1947", "--kernel-width", "nan"], "kernel_width"),
+        ("local-lime", ["--year", "1947", "--kernel-width", "inf"], "kernel_width"),
+        ("train", ["--seed", "-1"], "seed"),
+        ("evaluate", ["--seed", "-3"], "seed"),
+        ("local-lime", ["--year", "1947", "--seed", "-1"], "seed"),
+        ("local-shap", ["--year", "1947", "--samples", "100", "--seed", "-1"], "seed"),
+    ],
+    ids=[
+        "kernel-width-nan",
+        "kernel-width-inf",
+        "train-negative-seed",
+        "evaluate-negative-seed",
+        "lime-negative-seed",
+        "sampled-shap-negative-seed",
+    ],
+)
+def test_invalid_value_exits_2(
+    run_cli, data_path, model_dir, tmp_path, command, extra, fragment
+):
+    if command == "train":
+        argv = ["train", "--model", "tree", "--out", tmp_path / "m.json"]
+    elif command == "evaluate":
+        argv = ["evaluate", "--model", model_dir / "tree.json"]
+    else:
+        argv = ["explain", "--model", model_dir / "tree.json", "--mode", command]
+    code, _, err = run_cli([*argv, "--data", data_path, *extra])
+    assert code == 2, err
+    assert err.startswith("error:") and fragment in err
+    assert "ValueError" not in err

@@ -8,6 +8,7 @@ import pytest
 from floodxai import (
     ANNUAL_TOLERANCE_MM,
     ColumnSchema,
+    ConfigError,
     Dataset,
     DatasetError,
     MONTHS,
@@ -177,6 +178,10 @@ class TestSplit:
         ds = make_dataset([[1.0], [2.0]], [0, 1])
         with pytest.raises(DatasetError):
             split(ds, 0.1, 0)
+
+    def test_negative_seed_is_a_config_error(self, dataset):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+            split(dataset, 0.7, -1)
 
     def test_imputation_log_follows_rows(self, dataset):
         parts = split(dataset, 0.7, 42)

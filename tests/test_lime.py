@@ -13,9 +13,28 @@ from floodxai import (
     fit_scaler,
     perturb,
 )
-from floodxai.explain.lime import PerturbationSet, _ridge_wls
+from floodxai.explain.lime import PerturbationSet, _forward_select, _ridge_wls
 
 RNG = np.random.default_rng(21)
+
+
+def forward_select_by_refits(bits, y, weights, candidates, n_select):
+    """Reference forward selection: one full ridge WLS refit per trial set.
+
+    Each step keeps the first candidate with the strictly smallest SSE, so
+    ties go to the lowest feature index.
+    """
+    selected = []
+    for _ in range(min(n_select, len(candidates))):
+        best_f, best_sse = None, None
+        for f in candidates:
+            if f in selected:
+                continue
+            _, _, sse = _ridge_wls(bits[:, selected + [f]], y, weights)
+            if best_sse is None or sse < best_sse:
+                best_f, best_sse = f, sse
+        selected.append(best_f)
+    return selected
 
 
 def bin_indicator_model(discretizer, instance, coef, const=0.0):
@@ -249,6 +268,34 @@ class TestLocalSurrogate:
         with pytest.raises(DatasetError, match="degenerate perturbation design"):
             fit_local_surrogate(lambda X: np.zeros(len(X)), samples, config)
 
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_fewer_than_two_rows_rejected(self, train4, n_rows):
+        x = train4[0]
+        samples = PerturbationSet(
+            instance=x,
+            X=np.tile(x, (n_rows, 1)),
+            bits=np.zeros((n_rows, 4), dtype=np.int8),
+            distances=np.zeros(n_rows),
+        )
+        config = LimeConfig(n_perturbations=50, n_selected_features=4)
+        with pytest.raises(DatasetError, match="degenerate perturbation design"):
+            fit_local_surrogate(lambda X: np.zeros(len(X)), samples, config)
+
+    def test_one_differing_row_is_enough(self, train4):
+        x = train4[0]
+        n = 50
+        bits = np.ones((n, 4), dtype=np.int8)
+        bits[n - 1, 2] = 0
+        samples = PerturbationSet(
+            instance=x, X=np.tile(x, (n, 1)), bits=bits, distances=np.zeros(n)
+        )
+        config = LimeConfig(n_perturbations=n, n_selected_features=4)
+        explanation = fit_local_surrogate(
+            lambda X: np.zeros(len(X)), samples, config
+        )
+        # only the one varying column can be selected
+        assert [c.feature_index for c in explanation.conditions] == [2]
+
     def test_huge_kernel_width_matches_unweighted_fit(self, train4):
         x = train4[9]
         disc = fit_discretizer(train4)
@@ -291,6 +338,9 @@ class TestLimeConfig:
             ({"kernel_width": 0.0}, "kernel_width"),
             ({"n_bins": 1}, "n_bins"),
             ({"resample": "bootstrap"}, "resample"),
+            ({"kernel_width": float("nan")}, "kernel_width"),
+            ({"kernel_width": float("inf")}, "kernel_width"),
+            ({"seed": -1}, "seed must be a non-negative integer"),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs, fragment):
@@ -332,3 +382,32 @@ class TestExplainLocal:
             abs=1e-12,
         )
         assert payload["config"]["kernel_width"] == pytest.approx(0.75 * np.sqrt(12))
+
+
+class TestForwardSelect:
+    def test_matches_per_trial_refits(self, all_models, dataset, parts):
+        """Gram-scored selection picks the refit loop's features in its order.
+
+        Greedy selection of n features is the first n of selecting all 12,
+        so one reference run at 12 covers n = 1, 6 and 12.
+        """
+        train = parts.train.features()
+        disc = fit_discretizer(parts.train)
+        scaler = fit_scaler(train)
+        X = dataset.features()
+        rows = np.random.default_rng(6).choice(len(X), size=15, replace=False)
+        for row in rows:
+            for resample in ("uniform", "normal"):
+                config = LimeConfig(seed=int(row), resample=resample)
+                samples = perturb(X[row], disc, scaler, config)
+                bits = samples.bits.astype(float)
+                weights = np.exp(
+                    -samples.distances**2 / config.effective_kernel_width(12) ** 2
+                )
+                candidates = list(range(12))
+                for kind, model in all_models.items():
+                    y = model.predict_proba(samples.X)
+                    expected = forward_select_by_refits(bits, y, weights, candidates, 12)
+                    for n in (1, 6, 12):
+                        got = _forward_select(bits, y, weights, candidates, n)
+                        assert got == expected[:n], (kind, int(row), resample, n)

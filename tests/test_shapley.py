@@ -260,6 +260,14 @@ class TestKernelShap:
         with pytest.raises(ConfigError):
             config.validate(5)
 
+    def test_negative_seed_rejected_only_when_sampling(self, background5, instance5):
+        config = ShapConfig(background=background5, n_coalition_samples=32, seed=-1)
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            kernel_shap(nonlinear_model, instance5, config)
+        # exhaustive mode draws nothing, so it ignores the seed
+        exhaustive = ShapConfig(background=background5, seed=-1)
+        assert kernel_shap(nonlinear_model, instance5, exhaustive).seed is None
+
     def test_exhaustive_width_capped(self):
         config = ShapConfig(background=np.zeros((1, MAX_EXACT_FEATURES + 1)))
         tracemalloc.start()
