@@ -363,7 +363,8 @@ def fit_local_surrogate(model, samples, config, feature_names=None, discretizer=
     refitting ridge weighted least squares on the selected set. Reports
     the weighted R^2 of the final surrogate as local_fidelity. A design
     with fewer than two rows, or whose rows all equal the first, is
-    rejected.
+    rejected, and so is a kernel width under which a proximity weight is
+    not finite or fewer than two are positive.
     """
     x = samples.instance
     m = x.shape[0]
@@ -382,7 +383,15 @@ def fit_local_surrogate(model, samples, config, feature_names=None, discretizer=
         )
     bits = samples.bits.astype(float)
     sigma = config.effective_kernel_width(m)
-    proximity = np.exp(-samples.distances**2 / sigma**2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        proximity = np.exp(-samples.distances**2 / sigma**2)
+    if not np.isfinite(proximity).all() or np.count_nonzero(proximity) < 2:
+        # sigma**2 underflows to 0 (0/0 at the instance), or every perturbation
+        # but the instance lies too far for the kernel: no weighted fit exists
+        raise ConfigError(
+            f"kernel_width {sigma:g} is too small for this perturbation set: a fit "
+            "needs finite proximity weights, at least two of them positive"
+        )
 
     predict = _predict_fn(model)
     y = np.asarray(predict(samples.X), dtype=float)

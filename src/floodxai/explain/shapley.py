@@ -112,6 +112,8 @@ def _masked_values(masked, instance, background, masks):
             f"background has {bg.shape[1]} features but the instance has {x.shape[0]}"
         )
     n_bg = bg.shape[0]
+    if n_bg == 0:
+        raise DatasetError("background has no rows")
     values = np.empty(n_masks)
     step = max(1, _CHUNK_VALUES // n_bg)
     for start in range(0, n_masks, step):

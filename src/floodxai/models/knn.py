@@ -4,12 +4,18 @@ A distance is the square root of the squared per-feature differences summed
 in feature order 0..M-1: the floating-point steps of scipy's ``cdist``, whose
 values it equals bit for bit. The training rows are kept split by label, so
 a vote needs only the k nearest of each half.
+
+Coalition values (`KnnModel.masked_proba`) add the same per-feature terms
+along a trie of mask prefixes. The trie depends only on the mask table, so
+`_mask_plan` builds it once per table and exhaustive Kernel SHAP reuses it
+for every instance; the sums, and so the votes, stay those of the hybrid
+rows bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,14 +45,15 @@ def _vote(D2, n0, k):
     The rows strictly closer than the k-th distance vote; the rest of the k slots
     are shared equally among the rows at exactly the k-th distance. The square
     root is monotone, so sorting squared distances orders the distances; it is
-    taken only where ties are decided: the first k of each half, and the rows
-    whose tie at the k-th distance runs past column k.
+    taken only where ties are decided: the first k of each half, and, in the rows
+    where a half's k-th distance ties the union's and so does its next one, that
+    whole half.
     """
     halves = (D2[:, :n0], D2[:, n0:])
     heads = np.full((2, k, len(D2)), np.inf)
     for half, head in zip(halves, heads):
         half.sort(axis=1)
-        head[: half.shape[1]] = np.sqrt(half[:, :k].T)
+        np.sqrt(half[:, :k].T, out=head[: min(k, half.shape[1])])
     # the k-th smallest of two sorted lists: the best split of the k slots between them
     kth = np.minimum(heads[0, k - 1], heads[1, k - 1])
     for i in range(1, k):
@@ -57,7 +64,9 @@ def _vote(D2, n0, k):
         closer.append((head[:width] < kth).sum(axis=0))
         tied = (head[:width] == kth).sum(axis=0)
         if half.shape[1] > k:
+            # a tie at column k-1 runs on only if column k ties too
             runs = np.flatnonzero(head[k - 1] == kth)
+            runs = runs[np.sqrt(half[runs, k]) == kth[runs]]
             tied[runs] = (np.sqrt(half[runs]) == kth[runs, None]).sum(axis=1)
         at.append(tied)
     votes = closer[1] + (k - closer[0] - closer[1]) * at[1] / (at[0] + at[1])
@@ -168,49 +177,90 @@ class KnnModel(ProbabilityClassifier):
         """`masked_proba` without hybrid rows: each squared distance is the sum, in
         feature order, of per-feature terms taken from the instance or the
         background row. The masks are lexsorted and walked in blocks, so masks that
-        agree on features 0..j mostly share a block and one partial sum over them."""
+        agree on features 0..j mostly share a block and one partial sum over them;
+        that walk depends only on the mask table and is planned once per table."""
         train, n0 = self._by_label
         (x,), _ = prepare_features(x, self.n_features)
         bg, _ = prepare_features(background, self.n_features)
-        bg_terms = np.square(self.scaler.transform(bg).T[:, :, None] - train[:, None, :])
-        # laid out like bg_terms, so each level adds whole (background, train) slabs
-        x_terms = np.empty_like(bg_terms)
-        x_terms[...] = np.square(self.scaler.transform(x)[:, None, None] - train[:, None, :])
         masks = np.atleast_2d(np.asarray(masks, dtype=bool))
-        order = np.lexsort(masks.T[::-1])
-        step = max(1, _MASK_BLOCK // bg_terms[0].size)
-        buffers = np.empty((2, min(step, len(masks))) + bg_terms.shape[1:])
+        step = max(1, _MASK_BLOCK // (len(bg) * train.shape[1]))
+        # planned before the large arrays below exist: a plan cached from above them
+        # on the heap would keep their freed space from being reused, and each new
+        # table's plan would grow the heap again
+        plan = _mask_plan(masks.tobytes(), masks.shape, step)
+        # terms[j, 0]: background rows' feature-j terms, terms[j, 1]: the instance's
+        terms = np.empty((self.n_features, 2, len(bg), train.shape[1]))
+        np.square(self.scaler.transform(bg).T[:, :, None] - train[:, None, :], out=terms[:, 0])
+        terms[:, 1] = np.square(self.scaler.transform(x)[:, None, None] - train[:, None, :])
+        buffers = np.empty((2, min(step, len(masks))) + terms.shape[2:])
         out = np.empty((len(masks), len(bg)))
-        for start in range(0, len(masks), step):
-            rows = order[start : start + step]
-            sums, group = _prefix_sums(masks[rows], x_terms, bg_terms, buffers)
+        for rows, levels, group in plan:
+            sums = _prefix_sums(levels, terms, buffers)
             proba = _vote(sums.reshape(-1, train.shape[1]), n0, self.config.k)
             out[rows] = proba.reshape(len(sums), len(bg))[group]
         return out
 
 
-def _prefix_sums(bits, x_terms, bg_terms, buffers):
-    """(squared distances of each distinct mask in `bits`, the distinct-mask index of
-    each row). Level j adds feature j's term to every distinct prefix 0..j once;
-    `buffers` holds two levels."""
-    group = np.zeros(len(bits), dtype=np.intp)
-    sums = np.zeros((1,) + bg_terms.shape[1:])
-    for j in range(bits.shape[1]):
-        # children of every prefix: bit-0 (background term) ones first, then bit-1
-        keys, group = np.unique(bits[:, j] * len(sums) + group, return_inverse=True)
-        split = np.searchsorted(keys, len(sums))
-        nxt = buffers[j % 2, : len(keys)]
-        for parents, children, term in (
-            (keys[:split], nxt[:split], bg_terms[j]),
-            (keys[split:] - len(sums), nxt[split:], x_terms[j]),
-        ):
-            if len(parents) == len(sums):  # every prefix has this child
-                np.add(sums, term, out=children)
+@lru_cache(maxsize=8)
+def _mask_plan(table, shape, step):
+    """The prefix-sum walk over a mask table (its bytes and shape) in blocks of
+    `step` lexsorted masks: per block, (its rows of the table, its levels, the
+    distinct-mask index of each row). Level j turns the distinct prefixes 0..j-1
+    into the distinct prefixes 0..j. A full level, where every prefix has both
+    children, is its child count: prefix p's children are 2p (bit 0) and 2p + 1.
+    Otherwise it is (parents of the bit-0 children, parents of the bit-1 children),
+    numbered in that order."""
+    masks = np.frombuffer(table, dtype=bool).reshape(shape)
+    order = np.lexsort(masks.T[::-1])
+    plan = []
+    for start in range(0, len(masks), step):
+        rows = order[start : start + step]
+        group = np.zeros(len(rows), dtype=np.intp)
+        n, levels = 1, []
+        for bit in masks[rows].T:
+            child = bit * n + group  # prefix p's bit-0 child is p, its bit-1 child n + p
+            present = np.zeros(2 * n, dtype=bool)
+            present[child] = True
+            if present.all():
+                levels.append(2 * n)
+                group = 2 * group + bit
             else:
-                np.take(sums, parents, axis=0, out=children, mode="clip")
-                children += term
+                levels.append((_frozen(present[:n]), _frozen(present[n:])))
+                group = (np.cumsum(present) - 1)[child]
+            n = int(present.sum())
+        rows.setflags(write=False)
+        group.setflags(write=False)
+        plan.append((rows, tuple(levels), group))
+    return tuple(plan)
+
+
+def _frozen(present):
+    """The indices of `present`'s true entries, read-only: the plan is shared."""
+    indices = np.flatnonzero(present)
+    indices.setflags(write=False)
+    return indices
+
+
+def _prefix_sums(levels, terms, buffers):
+    """Squared distances of each distinct mask of one `_mask_plan` block; level j
+    adds feature j's term to every distinct prefix 0..j once. `buffers` holds two
+    levels."""
+    sums = np.zeros((1,) + terms.shape[2:])
+    for j, level in enumerate(levels):
+        if type(level) is int:
+            nxt = buffers[j % 2, :level]
+            np.add(sums[:, None], terms[j], out=nxt.reshape((len(sums),) + terms.shape[1:]))
+        else:
+            nxt = buffers[j % 2, : len(level[0]) + len(level[1])]
+            children = (nxt[: len(level[0])], nxt[len(level[0]) :])
+            for parents, child, term in zip(level, children, terms[j]):
+                if len(parents) == len(sums):  # every prefix has this child
+                    np.add(sums, term, out=child)
+                else:
+                    np.take(sums, parents, axis=0, out=child, mode="clip")
+                    child += term
         sums = nxt
-    return sums, group
+    return sums
 
 
 def train_knn(train, k=5):

@@ -701,6 +701,8 @@ class TestParser:
     [
         ("local-lime", ["--year", "1947", "--kernel-width", "nan"], "kernel_width"),
         ("local-lime", ["--year", "1947", "--kernel-width", "inf"], "kernel_width"),
+        ("local-lime", ["--year", "1947", "--kernel-width", "1e-200"], "kernel_width"),
+        ("local-lime", ["--year", "1947", "--kernel-width", "1e-3"], "kernel_width"),
         ("train", ["--seed", "-1"], "seed"),
         ("evaluate", ["--seed", "-3"], "seed"),
         ("local-lime", ["--year", "1947", "--seed", "-1"], "seed"),
@@ -709,6 +711,8 @@ class TestParser:
     ids=[
         "kernel-width-nan",
         "kernel-width-inf",
+        "kernel-width-underflows",
+        "kernel-width-weights-one-row",
         "train-negative-seed",
         "evaluate-negative-seed",
         "lime-negative-seed",

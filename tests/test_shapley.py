@@ -28,6 +28,7 @@ from floodxai import (
     perturb,
 )
 from floodxai.explain import shapley
+from floodxai.models import knn as knn_module
 from floodxai.explain.shapley import (
     _CHUNK_ROWS,
     EXHAUSTIVE,
@@ -499,6 +500,24 @@ def test_background_width_checked(all_models, parts, kind, entry):
         entry(all_models[kind], x, background)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda f, x, bg: kernel_shap(f, x, ShapConfig(background=bg)),
+        lambda f, x, bg: global_importance(f, [x, x], ShapConfig(background=bg)),
+        lambda f, x, bg: exact_shapley(f, x, bg),
+        lambda f, x, bg: coalition_value(f, x, [0, 4], bg),
+    ],
+    ids=["kernel_shap", "global_importance", "exact_shapley", "coalition_value"],
+)
+@pytest.mark.parametrize("kind", ["logistic", "knn"])
+def test_empty_background_rejected(all_models, parts, kind, entry):
+    # an empty background has no v(S) to average; it used to divide by zero
+    x = parts.test.features()[0]
+    with pytest.raises(DatasetError, match="background has no rows"):
+        entry(all_models[kind], x, np.empty((0, 12)))
+
+
 @pytest.mark.parametrize("kind", ["logistic", "svm", "tree", "knn"])
 def test_masked_proba_matches_hybrid_predictions(all_models, dataset, parts, kind):
     model = all_models[kind]
@@ -573,6 +592,75 @@ def test_knn_masked_proba_exact_under_ties(k, single_class):
         expected = _reference_knn_proba(model, hybrid).reshape(len(masks), len(bg))
         np.testing.assert_array_equal(model.predict_proba(hybrid), expected.ravel())
         np.testing.assert_array_equal(model.masked_proba(x, bg, masks), expected)
+
+
+def _reference_vote(D2, n0, k):
+    """The vote of `_vote` by its definition, over whole unsorted rows."""
+    y = (np.arange(D2.shape[1]) >= n0).astype(float)
+    D = np.sqrt(D2)
+    kth = np.sort(D, axis=1)[:, k - 1, None]
+    closer, at = D < kth, D == kth
+    return (closer @ y + (k - closer.sum(axis=1)) * (at @ y) / at.sum(axis=1)) / k
+
+
+@pytest.mark.parametrize("n0", [2, 9, 20], ids=["short-label-0-half", "balanced", "long"])
+@pytest.mark.parametrize("k", range(1, 8))
+def test_knn_vote_matches_whole_row_reference(k, n0):
+    # squared distances from a handful of integers tie at column k in most rows,
+    # and many of those ties run past it, in one half or both
+    rng = np.random.default_rng(100 * k + n0)
+    D2 = rng.integers(0, 4, size=(400, 24)).astype(float)
+    D2[:50, :] = D2[:50, :1]  # whole rows of one value
+    expected = _reference_vote(D2, n0, k)
+    np.testing.assert_array_equal(knn_module._vote(D2.copy(), n0, k), expected)
+
+
+def _knn_masked_cases(parts):
+    train = parts.train.features()
+    return train[5], train[20:23]
+
+
+def test_knn_mask_plan_with_small_blocks(all_models, parts, monkeypatch):
+    # blocks of 11 masks: an odd number of blocks over the full table, levels that
+    # are partial at block edges and full inside them
+    model = all_models["knn"]
+    x, bg = _knn_masked_cases(parts)
+    hybrid = shapley._hybrid_fn(model.predict_proba)
+    monkeypatch.setattr(knn_module, "_MASK_BLOCK", 11 * bg.shape[0] * len(parts.train))
+    table = _bit_table(12)
+    rng = np.random.default_rng(5)
+    shuffled = table[rng.integers(0, len(table), size=3000)]  # shuffled, with duplicates
+    sampled = np.vstack([table[0], shapley._sample_coalitions(12, 200, 3)[0], table[-1]])
+    for masks in (table, shuffled, sampled):
+        plan = knn_module._mask_plan(masks.tobytes(), masks.shape, 11)
+        assert len(plan) == -(-len(masks) // 11)
+        levels = [level for _, block, _ in plan for level in block]
+        assert any(type(level) is int for level in levels)
+        assert any(type(level) is tuple for level in levels)
+        np.testing.assert_array_equal(model.masked_proba(x, bg, masks), hybrid(x, bg, masks))
+    assert len(knn_module._mask_plan(table.tobytes(), table.shape, 11)) % 2 == 1
+
+
+def test_knn_mask_plan_reused_and_keyed_by_content(all_models, parts):
+    model = all_models["knn"]
+    x, bg = _knn_masked_cases(parts)
+    hybrid = shapley._hybrid_fn(model.predict_proba)
+    table = _bit_table(12)
+    first = model.masked_proba(x, bg, table)
+    hits = knn_module._mask_plan.cache_info().hits
+    np.testing.assert_array_equal(model.masked_proba(x, bg, table), first)
+    assert knn_module._mask_plan.cache_info().hits == hits + 1
+    np.testing.assert_array_equal(first, hybrid(x, bg, table))
+    # one row changed: a table of the same shape must not reuse the cached plan
+    edited = table.copy()
+    edited[7] = ~edited[7]
+    np.testing.assert_array_equal(model.masked_proba(x, bg, edited), hybrid(x, bg, edited))
+
+
+def test_knn_empty_mask_table(all_models, parts):
+    x, bg = _knn_masked_cases(parts)
+    got = all_models["knn"].masked_proba(x, bg, np.zeros((0, 12), dtype=bool))
+    assert got.shape == (0, len(bg))
 
 
 @pytest.mark.parametrize(
