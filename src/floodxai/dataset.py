@@ -352,15 +352,12 @@ class Scaler:
 def _as_finite(values, what):
     """`values` as a float array; DatasetError names its first non-finite cell."""
     A = np.asarray(values, dtype=float)
+    if np.isfinite(A).all():
+        return A
     rows = np.atleast_2d(A)
-    bad = np.argwhere(~np.isfinite(rows))
-    if bad.size:
-        i, j = bad[0]
-        row = f" row {i}" if A.ndim > 1 else ""
-        raise DatasetError(
-            f"{what}{row} feature {j} is {rows[i, j]}; explainer inputs must be finite"
-        )
-    return A
+    i, j = np.argwhere(~np.isfinite(rows))[0]
+    row = f" row {i}" if A.ndim > 1 else ""
+    raise DatasetError(f"{what}{row} feature {j} is {rows[i, j]}; inputs must be finite")
 
 
 def fit_scaler(train):

@@ -12,15 +12,17 @@ such as "AUG > 510.02".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ..dataset import _as_finite, _check_seed, fit_scaler
 from ..errors import ConfigError, DatasetError
-from .shapley import _predict_fn
+from .shapley import _feature_names, _predict_fn
 
 RIDGE_LAMBDA = 1e-3
 _RESAMPLE_MODES = ("uniform", "normal")
+_INTEGER_FIELDS = ("n_perturbations", "n_selected_features", "n_bins", "seed")
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,10 @@ class LimeConfig:
     resample: str = "uniform"
 
     def validate(self, n_features=None):
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_selected_features < 1:
             raise ConfigError(
                 f"n_selected_features must be positive, got {self.n_selected_features}"
@@ -123,6 +129,13 @@ def _feature_matrix(train):
     return np.atleast_2d(np.asarray(train, dtype=float))
 
 
+def _training_names(train, X, feature_names):
+    """The given names, else a Dataset's own, else x0, x1, ...; one per column of X."""
+    if feature_names is None:
+        feature_names = getattr(train, "feature_names", None)
+    return _feature_names(feature_names, X.shape[1])
+
+
 def fit_discretizer(train, n_bins=4, feature_names=None):
     """Cut each feature at training-set quantiles (quartiles by default)."""
     X = _feature_matrix(train)
@@ -130,11 +143,7 @@ def fit_discretizer(train, n_bins=4, feature_names=None):
         raise DatasetError("cannot fit a discretizer on an empty training set")
     if n_bins < 2:
         raise ConfigError(f"n_bins must be at least 2, got {n_bins}")
-    if feature_names is None:
-        if hasattr(train, "feature_names"):
-            feature_names = train.feature_names
-        else:
-            feature_names = tuple(f"x{i}" for i in range(X.shape[1]))
+    feature_names = _training_names(train, X, feature_names)
     missing = np.isnan(X).any(axis=0)
     if missing.any():
         raise DatasetError(
@@ -164,7 +173,7 @@ def fit_discretizer(train, n_bins=4, feature_names=None):
         all_stats.append(stats)
         degenerate.append(len(cuts) == 0)
     return Discretizer(
-        feature_names=tuple(feature_names),
+        feature_names=feature_names,
         thresholds=tuple(all_thresholds),
         bin_stats=tuple(all_stats),
         degenerate=tuple(degenerate),
@@ -445,18 +454,46 @@ def fit_local_surrogate(model, samples, config, feature_names=None, discretizer=
     )
 
 
+class _TrainingRows:
+    """A training matrix that hashes and compares by its shape, strides and bytes.
+
+    numpy's reductions follow the memory layout, so two matrices with equal
+    keys give bit-identical fits.
+    """
+
+    def __init__(self, X):
+        self.X = X
+        self.key = (X.shape, X.strides, X.tobytes())
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+@lru_cache(maxsize=8)
+def _fitted(rows, n_bins, feature_names):
+    """(Discretizer, Scaler) of one training matrix, fitted once per content.
+
+    A fit that raises is not cached, so invalid training rows raise on every
+    call. The cached objects stay inside `explain_local`.
+    """
+    return fit_discretizer(rows.X, n_bins, feature_names), fit_scaler(rows.X)
+
+
 def explain_local(model, instance, train, config=None, feature_names=None):
-    """Discretize, perturb, probe the model, and fit the local surrogate."""
+    """Discretize, perturb, probe the model, and fit the local surrogate.
+
+    The discretizer and scaler are fitted once per training set (by content),
+    so explaining many instances against one training set fits them once.
+    """
     config = config or LimeConfig()
     X_train = _feature_matrix(train)
     config.validate(X_train.shape[1])
-    discretizer = fit_discretizer(train, config.n_bins, feature_names)
-    scaler = fit_scaler(X_train)
+    names = _training_names(train, X_train, feature_names)
+    discretizer, scaler = _fitted(_TrainingRows(X_train), config.n_bins, names)
     samples = perturb(instance, discretizer, scaler, config)
     return fit_local_surrogate(
-        model,
-        samples,
-        config,
-        feature_names=discretizer.feature_names,
-        discretizer=discretizer,
+        model, samples, config, feature_names=names, discretizer=discretizer
     )

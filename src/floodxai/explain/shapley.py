@@ -249,8 +249,17 @@ class GlobalImportance:
         }
 
 
-def _default_names(n_features):
-    return tuple(f"x{i}" for i in range(n_features))
+def _feature_names(feature_names, n_features):
+    """`feature_names` as a tuple, x0, x1, ... when None or empty. The explainers'
+    shared check: a ConfigError unless there is one name per feature."""
+    names = () if feature_names is None else tuple(feature_names)
+    if not names:
+        return tuple(f"x{i}" for i in range(n_features))
+    if len(names) != n_features:
+        raise ConfigError(
+            f"feature_names has {len(names)} entries but the data has {n_features} features"
+        )
+    return names
 
 
 def exact_shapley(model, instance, background, feature_names=None):
@@ -266,6 +275,7 @@ def exact_shapley(model, instance, background, feature_names=None):
             f"exact enumeration supports at most {MAX_EXACT_FEATURES} features "
             f"(got {m}); use kernel_shap with a sampling budget instead"
         )
+    names = _feature_names(feature_names, m)
     predict = _predict_fn(model)
     masks = _bit_table(m)
     values = _coalition_values(predict, x, background, masks)
@@ -281,7 +291,7 @@ def exact_shapley(model, instance, background, feature_names=None):
         gains = values[without | (1 << i)] - values[without]
         phi[i] = float(np.dot(weight_by_size[sizes[without]], gains))
     return ShapExplanation(
-        feature_names=tuple(feature_names) if feature_names else _default_names(m),
+        feature_names=names,
         instance=x,
         phi=phi,
         base_value=float(values[0]),
@@ -320,35 +330,47 @@ def _exhaustive_projection(m):
     return projection
 
 
+@lru_cache(maxsize=32)
+def _size_cdf(m):
+    """Coalition sizes 1..M-1 and the CDF `Generator.choice(sizes, p=probs)` builds
+    from their kernel weight mass: probs.cumsum(), divided by its last entry."""
+    sizes = np.arange(1, m)
+    mass = (m - 1) / (sizes * (m - sizes))
+    cdf = (mass / mass.sum()).cumsum()
+    cdf /= cdf[-1]
+    cdf.setflags(write=False)
+    return sizes.tolist(), cdf
+
+
 def _sample_coalitions(m, budget, seed):
     """Draw coalition masks with sizes proportional to kernel weight mass.
 
     Each draw is paired with its complement (same weight mass, opposite
     membership) and duplicates are merged, their counts becoming the
-    regression weights. Deterministic for a given seed.
+    regression weights. Deterministic for a given seed. A size takes one
+    double from the stream and looks it up in `_size_cdf`, as
+    `Generator.choice(sizes, p=probs)` does, so the stream is the same.
+    Masks are merged by their bit codes (Python ints: any width).
     """
     rng = np.random.default_rng(seed)
-    sizes = np.arange(1, m)
-    mass = (m - 1) / (sizes * (m - sizes))
-    probs = mass / mass.sum()
     counts = {}
     drawn = 0
+    if budget > 0:
+        sizes, cdf = _size_cdf(m)
+        full = (1 << m) - 1
     while drawn < budget:
-        s = int(rng.choice(sizes, p=probs))
-        members = rng.choice(m, size=s, replace=False)
-        mask = np.zeros(m, dtype=bool)
-        mask[members] = True
-        for candidate in (mask, ~mask):
+        s = sizes[cdf.searchsorted(rng.random(), side="right")]
+        code = sum(1 << j for j in rng.choice(m, size=s, replace=False).tolist())
+        for key in (code, full ^ code):
             if drawn >= budget:
                 break
-            key = candidate.tobytes()
-            if key in counts:
-                counts[key] += 1
-            else:
-                counts[key] = 1
+            counts[key] = counts.get(key, 0) + 1
             drawn += 1
-    masks = np.frombuffer(b"".join(counts.keys()), dtype=bool).reshape(len(counts), m)
-    return masks.copy(), np.array(list(counts.values()), dtype=float)
+    width = (m + 7) // 8
+    packed = b"".join(code.to_bytes(width, "little") for code in counts)
+    bits = np.frombuffer(packed, dtype=np.uint8).reshape(len(counts), width)
+    masks = np.unpackbits(bits, axis=1, count=m, bitorder="little").astype(bool)
+    return masks, np.array(list(counts.values()), dtype=float)
 
 
 def _attribute(masked, x, config, offset=0):
@@ -387,10 +409,11 @@ def kernel_shap(model, instance, config, feature_names=None):
     """
     x = np.asarray(instance, dtype=float).ravel()
     m = x.shape[0]
+    names = _feature_names(feature_names, m)
     config.validate(m)
     phi, v_empty, v_full, n_coalitions = _attribute(_masked_fn(model), x, config)
     return ShapExplanation(
-        feature_names=tuple(feature_names) if feature_names else _default_names(m),
+        feature_names=names,
         instance=x,
         phi=phi,
         base_value=float(v_empty),
@@ -412,6 +435,7 @@ def global_importance(model, X, config, feature_names=None):
     if X.shape[0] == 0:
         raise DatasetError("global importance needs at least one instance")
     m = X.shape[1]
+    names = _feature_names(feature_names, m)
     config.validate(m)
     masked = _masked_fn(model)
     total = np.zeros(m)
@@ -419,7 +443,7 @@ def global_importance(model, X, config, feature_names=None):
         phi, _, _, n_coalitions = _attribute(masked, row, config, offset=i)
         total += np.abs(phi)
     return GlobalImportance(
-        feature_names=tuple(feature_names) if feature_names else _default_names(m),
+        feature_names=names,
         importances=total / X.shape[0],
         n_instances=X.shape[0],
         method=_method(config),

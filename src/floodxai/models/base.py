@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..dataset import _as_finite
 from ..errors import DatasetError
 
 
@@ -35,7 +36,10 @@ def sigmoid(z):
 
 
 def prepare_features(X, n_features):
-    """Coerce input to a 2-D float array, flagging single-vector input."""
+    """Coerce input to a 2-D float array, flagging single-vector input.
+
+    A DatasetError names the row and feature of the first non-finite cell.
+    """
     A = np.asarray(X, dtype=float)
     single = A.ndim == 1
     if single:
@@ -44,7 +48,7 @@ def prepare_features(X, n_features):
         raise DatasetError(f"expected a feature vector or matrix, got ndim={A.ndim}")
     if A.shape[1] != n_features:
         raise DatasetError(f"feature-width mismatch: model expects {n_features}, got {A.shape[1]}")
-    return A, single
+    return _as_finite(A, "model input"), single
 
 
 def unwrap_single(values, single):

@@ -13,6 +13,8 @@ from floodxai import (
     fit_scaler,
     perturb,
 )
+from floodxai import canonical_json
+from floodxai.explain import lime as lime_module
 from floodxai.explain.lime import PerturbationSet, _forward_select, _ridge_wls
 
 RNG = np.random.default_rng(21)
@@ -341,11 +343,27 @@ class TestLimeConfig:
             ({"kernel_width": float("nan")}, "kernel_width"),
             ({"kernel_width": float("inf")}, "kernel_width"),
             ({"seed": -1}, "seed must be a non-negative integer"),
+            ({"n_bins": 2.5}, "n_bins must be an integer, got 2.5"),
+            ({"n_bins": True}, "n_bins must be an integer, got True"),
+            ({"n_perturbations": 100.5}, "n_perturbations must be an integer, got 100.5"),
+            ({"n_selected_features": 2.5}, "n_selected_features must be an integer, got 2.5"),
+            ({"n_selected_features": "6"}, "n_selected_features must be an integer, got '6'"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"seed": None}, "seed must be an integer, got None"),
+            ({"seed": False}, "seed must be an integer, got False"),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs, fragment):
         with pytest.raises(ConfigError, match=fragment):
             LimeConfig(**kwargs).validate()
+
+    def test_numpy_integers_accepted(self):
+        LimeConfig(
+            n_perturbations=np.int64(200),
+            n_selected_features=np.int32(4),
+            n_bins=np.int64(3),
+            seed=np.uint8(7),
+        ).validate(12)
 
     def test_selection_capped_by_feature_count(self):
         with pytest.raises(ConfigError, match="exceeds"):
@@ -382,6 +400,90 @@ class TestExplainLocal:
             abs=1e-12,
         )
         assert payload["config"]["kernel_width"] == pytest.approx(0.75 * np.sqrt(12))
+
+
+class TestFitCache:
+    """explain_local fits the discretizer and scaler once per training set."""
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """The names of the fits `explain_local` runs, in order, from an empty cache."""
+        calls = []
+
+        def counting(name, fit):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fit(*args, **kwargs)
+
+            return counted
+
+        for name in ("fit_discretizer", "fit_scaler"):
+            monkeypatch.setattr(lime_module, name, counting(name, getattr(lime_module, name)))
+        lime_module._fitted.cache_clear()
+        yield calls
+        lime_module._fitted.cache_clear()
+
+    @staticmethod
+    def uncached(model, x, train, config):
+        disc, scaler = fit_discretizer(train, config.n_bins), fit_scaler(train)
+        samples = perturb(x, disc, scaler, config)
+        return fit_local_surrogate(model, samples, config, discretizer=disc)
+
+    def test_second_call_refits_nothing(self, fits, logistic, parts):
+        X = parts.test.features()
+        config = LimeConfig(n_perturbations=300, seed=4)
+        first = explain_local(logistic, X[0], parts.train, config)
+        assert fits == ["fit_discretizer", "fit_scaler"]
+        # the same rows as a plain matrix, with the Dataset's names, hit the same fit
+        again = explain_local(
+            logistic, X[0], parts.train.features(), config, parts.train.feature_names
+        )
+        assert canonical_json(again.to_dict()) == canonical_json(first.to_dict())
+        for row in X[:5]:
+            got = explain_local(logistic, row, parts.train, config)
+            want = self.uncached(logistic, row, parts.train, config)
+            assert canonical_json(got.to_dict()) == canonical_json(want.to_dict())
+        assert fits == ["fit_discretizer", "fit_scaler"]
+
+    def test_changed_cell_layout_bins_or_names_fitted_fresh(self, fits, logistic, parts):
+        train = parts.train.features()
+        x = parts.test.features()[2]
+        config = LimeConfig(n_perturbations=300, seed=4)
+        explain_local(logistic, x, train, config)
+        changed = train.copy()
+        changed[17, 6] += 1.0
+        fortran = np.asfortranarray(train)
+        for rows, cfg, names in (
+            (changed, config, None),
+            (fortran, config, None),
+            (train, LimeConfig(n_perturbations=300, seed=4, n_bins=3), None),
+            (train, config, tuple(parts.train.feature_names)),
+        ):
+            before = len(fits)
+            got = explain_local(logistic, x, rows, cfg, names)
+            assert fits[before:] == ["fit_discretizer", "fit_scaler"]
+            disc = fit_discretizer(rows, cfg.n_bins, names)
+            samples = perturb(x, disc, fit_scaler(rows), cfg)
+            want = fit_local_surrogate(logistic, samples, cfg, discretizer=disc)
+            assert canonical_json(got.to_dict()) == canonical_json(want.to_dict())
+
+    @pytest.mark.parametrize(
+        "value, named",
+        [(np.nan, "contains missing values"), (np.inf, "training row 3 feature 4 is inf"), (None, "empty")],
+        ids=["nan", "inf", "empty"],
+    )
+    def test_invalid_rows_raise_on_every_call(self, fits, logistic, parts, value, named):
+        train = parts.train.features()
+        x = parts.test.features()[0]
+        config = LimeConfig(n_perturbations=300)
+        explain_local(logistic, x, train, config)
+        bad = train[:0] if value is None else train.copy()
+        if value is not None:
+            bad[3, 4] = value
+        for _ in range(3):
+            with pytest.raises(DatasetError, match=named):
+                explain_local(logistic, x, bad, config)
+        assert lime_module._fitted.cache_info().currsize == 1
 
 
 class TestForwardSelect:

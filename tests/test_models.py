@@ -369,3 +369,30 @@ class TestModelIo:
             assert isinstance(train_model(kind, parts.train), klass)
         with pytest.raises(ConfigError):
             train_model("forest", parts.train)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda model, X, bg: model.predict_proba(X),
+        lambda model, X, bg: model.predict(X),
+        lambda model, X, bg: model.masked_proba(X[2], bg, np.eye(12, dtype=bool)),
+        lambda model, X, bg: model.masked_proba(bg[0], X, np.eye(12, dtype=bool)),
+    ],
+    ids=["predict_proba", "predict", "masked_proba-instance", "masked_proba-background"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_non_finite_model_inputs_rejected(all_models, parts, kind, bad, call):
+    # used to return NaN (logistic, svm, knn with a RuntimeWarning), 0.0 (tree)
+    # or an arbitrary vote (knn: 0.488 with one inf cell)
+    X = parts.test.features()[:4].copy()
+    X[2, 5] = bad
+    bg = parts.train.features()[:3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # row 0 for the instance, a single vector; row 2 of a matrix
+        with pytest.raises(DatasetError, match=f"model input row [02] feature 5 is {bad}"):
+            call(all_models[kind], X, bg)
+    with pytest.raises(DatasetError, match=f"row 0 feature 5 is {bad}"):
+        all_models[kind].predict_proba(X[2])

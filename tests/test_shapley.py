@@ -483,6 +483,28 @@ def test_non_finite_inputs_rejected(logistic, parts, entry, named):
 @pytest.mark.parametrize(
     "entry",
     [
+        lambda f, x, bg, names: kernel_shap(f, x, ShapConfig(background=bg), names),
+        lambda f, x, bg, names: global_importance(f, [x, x], ShapConfig(background=bg), names),
+        lambda f, x, bg, names: exact_shapley(f, x, bg, names),
+        lambda f, x, bg, names: explain_local(f, x, bg, LimeConfig(), names),
+        lambda f, x, bg, names: fit_discretizer(bg, 4, names),
+    ],
+    ids=["kernel_shap", "global_importance", "exact_shapley", "explain_local", "fit_discretizer"],
+)
+@pytest.mark.parametrize("n_names", [3, 13])
+def test_feature_names_of_the_wrong_length_rejected(logistic, parts, entry, n_names):
+    # too few names gave a 3-name report over 12 phi or an IndexError in ranked();
+    # LIME blamed n_selected_features or the instance width instead
+    x = parts.test.features()[0]
+    background = parts.train.features()[:8]
+    names = tuple(f"m{i}" for i in range(n_names))
+    with pytest.raises(ConfigError, match=f"feature_names has {n_names} entries but the data has 12 features"):
+        entry(logistic, x, background, names)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
         lambda f, x, bg: kernel_shap(f, x, ShapConfig(background=bg)),
         lambda f, x, bg: global_importance(f, [x, x], ShapConfig(background=bg)),
         lambda f, x, bg: exact_shapley(f, x, bg),
@@ -716,3 +738,55 @@ def test_wrappers_explained_by_their_predict_proba(all_models, parts, kind, wrap
     bare = kernel_shap(lambda X: 0.9 * model.predict_proba(X) + 0.05, x, config).phi
     np.testing.assert_array_equal(wrapped, bare)
     assert not np.allclose(wrapped, kernel_shap(model, x, config).phi, rtol=0, atol=1e-6)
+
+
+def _sample_coalitions_oracle(m, budget, seed):
+    """The sampler as it was before the size CDF: one `Generator.choice` per size."""
+    rng = np.random.default_rng(seed)
+    sizes = np.arange(1, m)
+    mass = (m - 1) / (sizes * (m - sizes))
+    probs = mass / mass.sum()
+    counts = {}
+    drawn = 0
+    while drawn < budget:
+        s = int(rng.choice(sizes, p=probs))
+        members = rng.choice(m, size=s, replace=False)
+        mask = np.zeros(m, dtype=bool)
+        mask[members] = True
+        for candidate in (mask, ~mask):
+            if drawn >= budget:
+                break
+            key = candidate.tobytes()
+            if key in counts:
+                counts[key] += 1
+            else:
+                counts[key] = 1
+            drawn += 1
+    masks = np.frombuffer(b"".join(counts.keys()), dtype=bool).reshape(len(counts), m)
+    return masks.copy(), np.array(list(counts.values()), dtype=float)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 12, 20, 70])
+def test_sampled_coalitions_equal_the_choice_sampler(m):
+    # same stream, same masks in the same order, same counts; 70 features
+    # need bit codes wider than one machine word
+    for budget in (2 * m + 2, 200, 512, 4094):
+        for seed in range(20):
+            masks, counts = shapley._sample_coalitions(m, budget, seed)
+            want_masks, want_counts = _sample_coalitions_oracle(m, budget, seed)
+            assert masks.dtype == bool
+            np.testing.assert_array_equal(masks, want_masks, err_msg=f"{m} {budget} {seed}")
+            np.testing.assert_array_equal(counts, want_counts, err_msg=f"{m} {budget} {seed}")
+
+
+@pytest.mark.parametrize("m", [2, 3, 12, 70])
+def test_size_draw_equals_generator_choice(m):
+    # pins the CDF lookup to numpy's own: a numpy whose choice changes fails here
+    sizes, cdf = shapley._size_cdf(m)
+    mass = (m - 1) / (np.arange(1, m) * (m - np.arange(1, m)))
+    probs = mass / mass.sum()
+    ours, theirs = np.random.default_rng(m), np.random.default_rng(m)
+    drawn = [sizes[cdf.searchsorted(ours.random(), side="right")] for _ in range(1500)]
+    chosen = [int(theirs.choice(np.arange(1, m), p=probs)) for _ in range(1500)]
+    assert drawn == chosen
+    assert ours.random() == theirs.random()
