@@ -8,7 +8,12 @@ model it then writes the timestamp-stripped canonical JSON report of
 * ``explain --mode local-lime`` at the defaults,
 * ``explain --mode local-shap --samples 512`` and ``--samples 26``,
 
-for the years 1934 and 1947. ``tests/golden/cases.json`` lists every
+for the years 1934 and 1947, and for logistic, svm and tree also
+
+* ``explain --mode global-shap`` at the defaults (exhaustive coalitions,
+  trainset background) over every year.
+
+``tests/golden/cases.json`` lists every
 command with its report file; ``tests/test_golden.py`` reruns each command
 on the stored model and compares the result with the file.
 
@@ -48,6 +53,8 @@ MODES = (
     ("local-shap-512", ["--mode", "local-shap", "--samples", "512"]),
     ("local-shap-26", ["--mode", "local-shap", "--samples", "26"]),
 )
+# kinds with an exhaustive global-shap report; KNN's takes about half a minute
+GLOBAL_KINDS = ("logistic", "svm", "tree")
 
 
 def _run(argv):
@@ -61,7 +68,7 @@ def _run(argv):
 
 def cases():
     """Every golden command: explain arguments (without --data and --json) and report file."""
-    return [
+    local = [
         {
             "name": f"{kind}-{stem}-{year}",
             "argv": ["explain", "--model", f"models/{kind}.json", *extra, "--year", str(year)],
@@ -70,6 +77,14 @@ def cases():
         for kind in MODEL_KINDS
         for stem, extra in MODES
         for year in YEARS
+    ]
+    return local + [
+        {
+            "name": f"{kind}-global-shap",
+            "argv": ["explain", "--model", f"models/{kind}.json", "--mode", "global-shap"],
+            "report": f"{kind}-global-shap.json",
+        }
+        for kind in GLOBAL_KINDS
     ]
 
 
