@@ -298,9 +298,17 @@ def provenance_lines(dataset):
     return tuple(event.as_line() for event in dataset.imputations)
 
 
+def _check_integer(name, value):
+    """Require an int or numpy integer (not a bool): a ConfigError names the value."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_seed(seed):
-    """Reject a negative seed, which numpy's generators refuse with a bare ValueError."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
+    """Require a non-negative integer seed, which numpy's generators otherwise refuse
+    with a bare TypeError or ValueError (or, for a bool, quietly read as 0 or 1)."""
+    _check_integer("seed", seed)
+    if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
 
 

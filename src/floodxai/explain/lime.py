@@ -16,13 +16,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..dataset import _as_finite, _check_seed, fit_scaler
+from ..dataset import _as_finite, _check_integer, _check_seed, fit_scaler
 from ..errors import ConfigError, DatasetError
 from .shapley import _feature_names, _predict_fn
 
 RIDGE_LAMBDA = 1e-3
 _RESAMPLE_MODES = ("uniform", "normal")
-_INTEGER_FIELDS = ("n_perturbations", "n_selected_features", "n_bins", "seed")
+_INTEGER_FIELDS = ("n_perturbations", "n_selected_features", "n_bins")  # the seed: _check_seed
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,7 @@ class LimeConfig:
 
     def validate(self, n_features=None):
         for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, getattr(self, name))
         if self.n_selected_features < 1:
             raise ConfigError(
                 f"n_selected_features must be positive, got {self.n_selected_features}"
@@ -141,6 +139,7 @@ def fit_discretizer(train, n_bins=4, feature_names=None):
     X = _feature_matrix(train)
     if X.shape[0] == 0:
         raise DatasetError("cannot fit a discretizer on an empty training set")
+    _check_integer("n_bins", n_bins)
     if n_bins < 2:
         raise ConfigError(f"n_bins must be at least 2, got {n_bins}")
     feature_names = _training_names(train, X, feature_names)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..dataset import fit_scaler
 from ..errors import ConfigError, DatasetError
-from .base import ProbabilityClassifier, prepare_features, unwrap_single
+from .base import ProbabilityClassifier, mask_table, prepare_features, unwrap_single
 
 # float64 distances computed at a time: a block of query rows, a block of masks
 _QUERY_BLOCK = 1 << 15
@@ -182,7 +182,7 @@ class KnnModel(ProbabilityClassifier):
         train, n0 = self._by_label
         (x,), _ = prepare_features(x, self.n_features)
         bg, _ = prepare_features(background, self.n_features)
-        masks = np.atleast_2d(np.asarray(masks, dtype=bool))
+        masks = mask_table(masks, self.n_features)
         step = max(1, _MASK_BLOCK // (len(bg) * train.shape[1]))
         # planned before the large arrays below exist: a plan cached from above them
         # on the heap would keep their freed space from being reused, and each new

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, DatasetError
-from .base import ProbabilityClassifier, prepare_features, unwrap_single
+from .base import ProbabilityClassifier, mask_table, prepare_features, unwrap_single
 
 
 def entropy(labels):
@@ -186,7 +186,7 @@ class TreeModel(ProbabilityClassifier):
         each hybrid reaches the leaf `predict_proba` would give it."""
         (x,), _ = prepare_features(x, self.n_features)
         bg, _ = prepare_features(background, self.n_features)
-        bits = np.ascontiguousarray(np.asarray(masks, dtype=bool).T)
+        bits = np.ascontiguousarray(mask_table(masks, self.n_features).T)
         out = np.empty((bg.shape[0], bits.shape[1]))
         x = x.tolist()
         for row, values in zip(bg.tolist(), out):

@@ -183,6 +183,16 @@ class TestSplit:
         with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
             split(dataset, 0.7, -1)
 
+    @pytest.mark.parametrize("seed", [1.5, True, None, "3"], ids=["float", "bool", "none", "str"])
+    def test_non_integer_seed_is_a_config_error(self, dataset, seed):
+        # used to raise a bare TypeError from SeedSequence, or (True) to seed with 1
+        with pytest.raises(ConfigError, match=f"seed must be an integer, got {seed!r}"):
+            split(dataset, 0.7, seed)
+
+    def test_numpy_integer_seed_accepted(self, dataset):
+        years = split(dataset, 0.7, 3).train.years()
+        assert split(dataset, 0.7, np.int64(3)).train.years() == years
+
     def test_imputation_log_follows_rows(self, dataset):
         parts = split(dataset, 0.7, 42)
         logged_years = {e.year for e in dataset.imputations}

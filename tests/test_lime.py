@@ -99,6 +99,12 @@ class TestFitDiscretizer:
         with pytest.raises(ConfigError, match="n_bins"):
             fit_discretizer(np.arange(10, dtype=float).reshape(-1, 1), n_bins=1)
 
+    @pytest.mark.parametrize("n_bins", [2.5, 4.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_bins_rejected(self, n_bins):
+        # 2.5 used to cut at the 0.4 and 0.8 quantiles and report 3 bins
+        with pytest.raises(ConfigError, match=f"n_bins must be an integer, got {n_bins!r}"):
+            fit_discretizer(np.arange(40.0).reshape(20, 2), n_bins=n_bins)
+
     def test_bins_matrix_matches_scalar_lookup(self, train4):
         disc = fit_discretizer(train4)
         X = RNG.uniform(0.0, 100.0, size=(15, 4))

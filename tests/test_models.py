@@ -1,5 +1,6 @@
 """Unit behavior of the four classifiers and the model JSON round-trip."""
 
+import re
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from floodxai import (
     train_svm,
     train_tree,
 )
+from floodxai.explain.shapley import _bit_table, _sample_coalitions
 from floodxai.models import model_from_dict, model_to_dict
 from floodxai.models.base import sigmoid
 
@@ -396,3 +398,68 @@ def test_non_finite_model_inputs_rejected(all_models, parts, kind, bad, call):
             call(all_models[kind], X, bg)
     with pytest.raises(DatasetError, match=f"row 0 feature 5 is {bad}"):
         all_models[kind].predict_proba(X[2])
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(11,), (4, 11), (4, 13), (2, 4, 12), ()],
+    ids=["1d-11", "11-wide", "13-wide", "3d", "0d"],
+)
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_masked_proba_rejects_a_mask_table_of_the_wrong_shape(all_models, parts, kind, shape):
+    # used to return zeros (knn), broadcast (linear) or raise a bare ValueError
+    # from matmul (linear) or IndexError (tree, knn)
+    x = parts.test.features()[0]
+    bg = parts.train.features()[:3]
+    masks = np.ones(shape, dtype=bool)
+    match = rf"over 12 features, got shape {re.escape(str(shape))}"
+    with pytest.raises(DatasetError, match=match):
+        all_models[kind].masked_proba(x, bg, masks)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_masked_proba_reads_a_1d_mask_as_one_row(all_models, parts, kind):
+    model = all_models[kind]
+    x = parts.test.features()[0]
+    bg = parts.train.features()[:3]
+    for mask in (np.zeros(12, dtype=bool), np.arange(12) % 3 == 0, np.ones(12, dtype=bool)):
+        got = model.masked_proba(x, bg, mask)
+        assert got.shape == (1, 3)
+        np.testing.assert_array_equal(got, model.masked_proba(x, bg, mask[None, :]))
+
+
+def _oracle_linear_proba(weights, intercept, x, bg, masks):
+    """The one-line formula linear `masked_proba` replaced: the same bits are expected."""
+    masks = np.asarray(masks, dtype=float)
+    return sigmoid((bg @ weights + intercept)[None, :] + masks @ (weights * (x - bg)).T)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "svm"])
+def test_linear_masked_proba_equals_the_one_line_formula(all_models, dataset, parts, kind):
+    # the in-place steps are the formula's IEEE operations, so equal, not just close
+    model = all_models[kind]
+    intercept = model.intercept if kind == "logistic" else model.bias
+    train = parts.train.features()
+    backgrounds = [train, train.mean(axis=0, keepdims=True), train[3:8], train[:1]]
+    tables = [_bit_table(12)] + [_sample_coalitions(12, b, 7)[0] for b in (26, 200, 512)]
+    for x in dataset.features():
+        for bg in backgrounds:
+            for masks in tables:
+                np.testing.assert_array_equal(
+                    model.masked_proba(x, bg, masks),
+                    _oracle_linear_proba(model.weights, intercept, x, bg, masks),
+                )
+
+
+@pytest.mark.parametrize("klass", [LogisticModel, SvmModel])
+def test_linear_masked_proba_saturates_exactly_without_warnings(klass):
+    # every hybrid logit lies beyond +-710; exp(-z) overflows to inf below -709.78
+    model = klass(np.array([1.0, 1.0]), 0.0, None)
+    x = np.array([1000.0, 0.0])
+    bg = np.array([[-1000.0, 289.0], [-1711.0, 0.0]])
+    masks = np.array([[False, False], [True, False], [False, True], [True, True]])
+    # logits: [-711, -1711], [1289, 1000], [-1000, -1711], [1000, 1000]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.masked_proba(x, bg, masks)
+    np.testing.assert_array_equal(got, [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])

@@ -269,6 +269,14 @@ class TestKernelShap:
         exhaustive = ShapConfig(background=background5, seed=-1)
         assert kernel_shap(nonlinear_model, instance5, exhaustive).seed is None
 
+    def test_non_integer_seed_rejected_only_when_sampling(self, background5, instance5):
+        # used to raise a bare TypeError from SeedSequence
+        config = ShapConfig(background=background5, n_coalition_samples=100, seed=1.5)
+        with pytest.raises(ConfigError, match="seed must be an integer, got 1.5"):
+            kernel_shap(nonlinear_model, instance5, config)
+        exhaustive = ShapConfig(background=background5, seed=1.5)
+        assert kernel_shap(nonlinear_model, instance5, exhaustive).seed is None
+
     def test_exhaustive_width_capped(self):
         config = ShapConfig(background=np.zeros((1, MAX_EXACT_FEATURES + 1)))
         tracemalloc.start()
