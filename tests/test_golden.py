@@ -1,18 +1,25 @@
-"""Golden local-explanation reports: the CLI's reports on stored models stay put.
+"""Golden reports: the CLI's reports on stored models stay put.
 
 `tools/make_golden.py` wrote every file under tests/golden. Each case reruns
 one `explain` command on the stored model file and compares its report with
 the golden one: strings, integers, key sets and list order (so rankings and
 LIME's selection order) exactly, floats within 1e-12. Bytes are not compared,
 because other SIMD reductions or LAPACK builds may move the last bits.
+
+The stored tree's `masked_proba` tables are compared exactly: each cell is a
+leaf fraction, which no reduction order can move.
 """
 
+import base64
 import json
 import math
+import zlib
 
+import numpy as np
 import pytest
 
-from floodxai import strip_timestamps
+from floodxai import impute_missing, load_csv, load_model, split, strip_timestamps
+from floodxai.explain.shapley import _bit_table
 
 from conftest import DATA_PATH, REPO_ROOT
 
@@ -49,6 +56,33 @@ def test_golden_report(case, run_cli, monkeypatch, tmp_path):
     got = strip_timestamps(json.loads(out.read_text(encoding="utf-8")))
     want = json.loads((GOLDEN_DIR / case["report"]).read_text(encoding="utf-8"))
     assert_report_matches(got, want)
+
+
+TREE_MASKED = json.loads((GOLDEN_DIR / "tree-masked-proba.json").read_text(encoding="utf-8"))
+
+
+def test_golden_tree_masked_proba():
+    model = load_model(GOLDEN_DIR / TREE_MASKED["model"])
+    metadata = json.loads((GOLDEN_DIR / TREE_MASKED["model"]).read_text())["metadata"]
+    dataset = impute_missing(load_csv(DATA_PATH))
+    train = split(dataset, metadata["split"], metadata["seed"]).train.features()
+    backgrounds = {"trainset": train, "mean": train.mean(axis=0, keepdims=True)}
+    codes = np.array(TREE_MASKED["sampled_codes"])
+    assert len(np.unique(codes)) < len(codes), "the sampled table should repeat masks"
+    m = model.n_features
+    tables = {
+        "exhaustive": _bit_table(m),
+        "sampled": ((codes[:, None] >> np.arange(m)) & 1).astype(bool),
+    }
+    features = dict(zip(dataset.years(), dataset.features()))
+    values = np.array(TREE_MASKED["values"])
+    for case in TREE_MASKED["cases"]:
+        index = np.frombuffer(zlib.decompress(base64.b64decode(case["index"])), dtype=np.uint8)
+        got = model.masked_proba(
+            features[case["year"]], backgrounds[case["background"]], tables[case["masks"]]
+        )
+        where = f"{case['year']}, {case['background']} background, {case['masks']} masks"
+        np.testing.assert_array_equal(got, values[index].reshape(case["shape"]), err_msg=where)
 
 
 def test_comparison_is_exact_but_for_float_rounding():
