@@ -15,7 +15,9 @@ elsewhere, computed without building them. Kernel SHAP uses it in place of
 ``predict_proba`` on the hybrids; it must agree with that to rounding. All
 four classes define it: logistic and SVM through ``masked_linear_proba``
 (the ``sigmoid`` of a logit shift, computed in one buffer of the table's
-size), tree and KNN bit-identical to scoring the hybrids. Every
+size), the tree by one descent over the distinct patterns of the masks on
+its split features, KNN by sharing squared-distance prefixes; tree and KNN
+are bit-identical to scoring the hybrids. Every
 ``masked_proba`` reads its masks through ``mask_table``: a 1-D mask is one
 row, and a table of the wrong width or rank raises a ``DatasetError``.
 """

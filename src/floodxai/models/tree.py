@@ -63,18 +63,33 @@ class TreeNode:
         return payload
 
     @classmethod
-    def from_dict(cls, payload):
+    def from_dict(cls, payload, n_features):
+        """Rebuild a node and its subtree; a ConfigError names the first field out of range."""
         node = cls(
             n_samples=int(payload["n_samples"]),
             n_flood=int(payload["n_flood"]),
             entropy_bits=float(payload["entropy_bits"]),
         )
+        if node.n_samples < 1:
+            raise ConfigError(f"tree node n_samples must be >= 1, got {node.n_samples}")
+        if not 0 <= node.n_flood <= node.n_samples:
+            raise ConfigError(
+                f"tree node n_flood must satisfy 0 <= n_flood <= n_samples = "
+                f"{node.n_samples}, got {node.n_flood}"
+            )
         if "feature" in payload:
             node.feature = int(payload["feature"])
             node.threshold = float(payload["threshold"])
+            if not 0 <= node.feature < n_features:
+                raise ConfigError(
+                    f"tree node feature must satisfy 0 <= feature < {n_features}, "
+                    f"got {node.feature}"
+                )
+            if not math.isfinite(node.threshold):
+                raise ConfigError(f"tree node threshold must be finite, got {node.threshold}")
             node.gain = float(payload["gain"])
-            node.left = cls.from_dict(payload["left"])
-            node.right = cls.from_dict(payload["right"])
+            node.left = cls.from_dict(payload["left"], n_features)
+            node.right = cls.from_dict(payload["right"], n_features)
         return node
 
 
@@ -157,10 +172,11 @@ class TreeModel(ProbabilityClassifier):
 
     @classmethod
     def from_parameters(cls, params, config, scaler):
+        n_features = int(params["n_features"])
         return cls(
-            root=TreeNode.from_dict(params["root"]),
+            root=TreeNode.from_dict(params["root"], n_features),
             config=config,
-            n_features=int(params["n_features"]),
+            n_features=n_features,
             scaler=scaler,
         )
 
@@ -181,35 +197,33 @@ class TreeModel(ProbabilityClassifier):
         self._assign(node.right, A, indices[~mask], out)
 
     def masked_proba(self, x, background, masks):
-        """Per background row, one descent over the set of masks: the set splits on
-        a mask bit only where the instance and the row take different branches, so
-        each hybrid reaches the leaf `predict_proba` would give it."""
+        """One descent over the (mask pattern x background row) grid. A hybrid's leaf
+        depends only on its mask bits on the features the tree splits on, so the masks
+        are reduced to their distinct patterns there. At each split a pattern takes the
+        instance's branch where its bit is set and the row's elsewhere; the reach sets
+        are ANDed down the tree, so each hybrid gets the leaf `predict_proba` gives it."""
         (x,), _ = prepare_features(x, self.n_features)
         bg, _ = prepare_features(background, self.n_features)
-        bits = np.ascontiguousarray(mask_table(masks, self.n_features).T)
-        out = np.empty((bg.shape[0], bits.shape[1]))
-        x = x.tolist()
-        for row, values in zip(bg.tolist(), out):
-            self._assign_masked(self.root, x, row, bits, None, values)
+        table = mask_table(masks, self.n_features)
+        key, axis = table[:, sorted({node.feature for node in self.internal_nodes()})], 0
+        if key.shape[1] <= 62:
+            # one exact integer per mask: unique rows (axis=0) cost many times more
+            key, axis = key @ (1 << np.arange(key.shape[1], dtype=np.int64)), None
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True, axis=axis)
+        patterns = table[first]
+        out = np.empty((len(patterns), bg.shape[0]))
+        stack = [(self.root, np.ones(out.shape, dtype=bool))]
+        while stack:
+            node, reach = stack.pop()
+            if node.is_leaf:
+                out[reach] = node.proba
+                continue
+            f, t = node.feature, node.threshold
+            left = np.where(patterns[:, f, None], x[f] <= t, bg[None, :, f] <= t)
+            stack += [(node.left, reach & left), (node.right, reach & ~left)]
         # row-major like the hybrids' predictions, so a mean over background rows
         # sums in the same order and the coalition values stay bit-identical
-        return np.ascontiguousarray(out.T)
-
-    def _assign_masked(self, node, x, row, bits, members, out):
-        """Fill `out` for the masks in boolean set `members` (None: all of them)."""
-        while not node.is_leaf:
-            f, t = node.feature, node.threshold
-            x_left = x[f] <= t
-            if x_left == (row[f] <= t):
-                node = node.left if x_left else node.right
-                continue
-            x_side, row_side = (node.left, node.right) if x_left else (node.right, node.left)
-            takes_x, takes_row = bits[f], ~bits[f]
-            if members is not None:
-                takes_x, takes_row = members & takes_x, members & takes_row
-            self._assign_masked(x_side, x, row, bits, takes_x, out)
-            node, members = row_side, takes_row
-        out[slice(None) if members is None else members] = node.proba
+        return out[inverse.reshape(-1)]
 
     def leaves(self):
         stack, found = [self.root], []

@@ -21,6 +21,14 @@ def json_tail(stdout):
     return payload
 
 
+def _leftmost_leaf(payload):
+    """The leftmost leaf of a tree model file's payload."""
+    node = payload["parameters"]["root"]
+    while "left" in node:
+        node = node["left"]
+    return node
+
+
 @pytest.fixture(scope="module")
 def model_dir(tmp_path_factory, data_path):
     """One saved model file per kind, trained through the CLI itself."""
@@ -336,6 +344,11 @@ class TestEvaluate:
             ("knn", lambda p: p["parameters"]["train_labels"].pop(), "train_labels has"),
             ("knn", lambda p: p["parameters"]["train_labels"].__setitem__(0, 2), "0 or 1"),
             ("knn", lambda p: p["parameters"].update(train_scaled=[1.0, 2.0]), "list of rows"),
+            ("tree", lambda p: p["parameters"]["root"].update(feature=-1), "feature < 12, got -1"),
+            ("tree", lambda p: p["parameters"]["root"].update(feature=12), "feature < 12, got 12"),
+            ("tree", lambda p: p["parameters"]["root"].update(threshold=float("nan")), "threshold"),
+            ("tree", lambda p: _leftmost_leaf(p).update(n_samples=0), "n_samples must be >= 1"),
+            ("tree", lambda p: _leftmost_leaf(p).update(n_flood=50), "n_flood must satisfy"),
         ],
         ids=[
             "missing-key",
@@ -347,6 +360,11 @@ class TestEvaluate:
             "knn-short-labels",
             "knn-non-binary-label",
             "knn-flat-rows",
+            "tree-negative-feature",
+            "tree-feature-past-width",
+            "tree-nan-threshold",
+            "tree-empty-leaf",
+            "tree-flood-above-samples",
         ],
     )
     def test_malformed_model_file_exits_2(

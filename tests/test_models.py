@@ -18,6 +18,7 @@ from floodxai import (
     SvmModel,
     TreeConfig,
     TreeModel,
+    TreeNode,
     entropy,
     euclidean_distance,
     hinge_objective,
@@ -426,6 +427,89 @@ def test_masked_proba_reads_a_1d_mask_as_one_row(all_models, parts, kind):
         got = model.masked_proba(x, bg, mask)
         assert got.shape == (1, 3)
         np.testing.assert_array_equal(got, model.masked_proba(x, bg, mask[None, :]))
+
+
+def _leaf(n_flood, n_samples):
+    return TreeNode(n_samples=n_samples, n_flood=n_flood, entropy_bits=0.0)
+
+
+def _split(feature, threshold, left, right):
+    n_samples, n_flood = left.n_samples + right.n_samples, left.n_flood + right.n_flood
+    return TreeNode(n_samples, n_flood, 0.0, feature, threshold, 0.0, left, right)
+
+
+def _heap_tree(features, thresholds, i=0):
+    """A complete tree: node i splits on features[i] at thresholds[i] and has
+    children 2i + 1 and 2i + 2; the leaves' fractions are all distinct."""
+    n_internal = len(features)
+    if i >= n_internal:
+        return _leaf(i - n_internal, n_internal + 1)
+    return _split(
+        int(features[i]),
+        float(thresholds[i]),
+        _heap_tree(features, thresholds, 2 * i + 1),
+        _heap_tree(features, thresholds, 2 * i + 2),
+    )
+
+
+def _tree_masked_cases():
+    """(name, tree, instance, background, masks). Values and thresholds are small
+    integers, so many comparisons land exactly on a threshold."""
+    rng = np.random.default_rng(14)
+
+    def model(root, m):
+        return TreeModel(root=root, config=TreeConfig(), n_features=m)
+
+    def ints(*shape):
+        return rng.integers(0, 4, size=shape).astype(float)
+
+    def heap(m, depth, order=None):
+        n_internal = 2**depth - 1
+        features = np.resize(rng.permutation(m) if order is None else order, n_internal)
+        return model(_heap_tree(features, rng.integers(0, 3, n_internal)), m)
+
+    def draws(m, n):
+        masks = rng.random((n, m)) < 0.5
+        return np.vstack([masks, masks[::3]])  # duplicates, not adjacent
+
+    twice = _split(1, 2.0, _split(1, 1.0, _leaf(1, 4), _leaf(2, 4)), _leaf(3, 4))
+    wide = draws(70, 300)
+    wide = np.vstack([wide, wide ^ (np.arange(70) >= 64)])  # pairs that differ past bit 63
+    return [
+        ("single-leaf", model(_leaf(3, 7), 4), ints(4), ints(3, 4), _bit_table(4)),
+        ("one-feature-twice", model(twice, 3), np.array([0.0, 1.0, 0.0]),
+         np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 3.0, 0.0]]), _bit_table(3)),
+        ("one-row-background", heap(6, 4), ints(6), ints(1, 6), _bit_table(6)),
+        ("1-d-mask", heap(6, 4), ints(6), ints(5, 6), np.arange(6) % 2 == 0),
+        ("sampled-duplicates", heap(8, 4), ints(8), ints(5, 8), draws(8, 60)),
+        # the top levels split on the widest features, which those pairs tell apart
+        ("70-features", heap(70, 7, np.arange(70)[::-1]), ints(70), ints(5, 70), wide),
+    ]
+
+
+@pytest.mark.parametrize(
+    "model, x, bg, masks",
+    [case[1:] for case in _tree_masked_cases()],
+    ids=[case[0] for case in _tree_masked_cases()],
+)
+def test_tree_masked_proba_equals_predictions_on_the_hybrids(model, x, bg, masks):
+    table = np.atleast_2d(masks)
+    hybrid = np.where(table[:, None, :], x, bg[None, :, :]).reshape(-1, model.n_features)
+    expected = model.predict_proba(hybrid).reshape(len(table), len(bg))
+    np.testing.assert_array_equal(model.masked_proba(x, bg, masks), expected)
+
+
+def test_tree_masked_cases_cover_what_they_name():
+    cases = {name: case for name, *case in _tree_masked_cases()}
+
+    def split_features(model):
+        return {node.feature for node in model.internal_nodes()}
+
+    assert cases["single-leaf"][0].root.is_leaf
+    assert len(split_features(cases["70-features"][0])) > 62
+    model, _, _, masks = cases["sampled-duplicates"]
+    patterns = np.unique(masks[:, sorted(split_features(model))], axis=0)
+    assert len(patterns) < min(len(masks), 2 ** len(split_features(model)))
 
 
 def _oracle_linear_proba(weights, intercept, x, bg, masks):
