@@ -63,7 +63,8 @@ TREE_MASKED = json.loads((GOLDEN_DIR / "tree-masked-proba.json").read_text(encod
 
 def test_golden_tree_masked_proba():
     model = load_model(GOLDEN_DIR / TREE_MASKED["model"])
-    metadata = json.loads((GOLDEN_DIR / TREE_MASKED["model"]).read_text())["metadata"]
+    model_file = (GOLDEN_DIR / TREE_MASKED["model"]).read_text(encoding="utf-8")
+    metadata = json.loads(model_file)["metadata"]
     dataset = impute_missing(load_csv(DATA_PATH))
     train = split(dataset, metadata["split"], metadata["seed"]).train.features()
     backgrounds = {"trainset": train, "mean": train.mean(axis=0, keepdims=True)}

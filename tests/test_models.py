@@ -487,10 +487,13 @@ def _tree_masked_cases():
     ]
 
 
+TREE_MASKED_CASES = _tree_masked_cases()
+
+
 @pytest.mark.parametrize(
     "model, x, bg, masks",
-    [case[1:] for case in _tree_masked_cases()],
-    ids=[case[0] for case in _tree_masked_cases()],
+    [case[1:] for case in TREE_MASKED_CASES],
+    ids=[case[0] for case in TREE_MASKED_CASES],
 )
 def test_tree_masked_proba_equals_predictions_on_the_hybrids(model, x, bg, masks):
     table = np.atleast_2d(masks)
@@ -500,7 +503,7 @@ def test_tree_masked_proba_equals_predictions_on_the_hybrids(model, x, bg, masks
 
 
 def test_tree_masked_cases_cover_what_they_name():
-    cases = {name: case for name, *case in _tree_masked_cases()}
+    cases = {name: case for name, *case in TREE_MASKED_CASES}
 
     def split_features(model):
         return {node.feature for node in model.internal_nodes()}

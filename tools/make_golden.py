@@ -137,6 +137,8 @@ def tree_masked_proba():
         for table, masks in tables.items()
     }
     values = np.unique(np.concatenate([v.ravel() for v in got.values()]))
+    if len(values) > 256:
+        raise SystemExit(f"{len(values)} distinct tree values do not fit uint8 indices")
     cases = []
     for (year, name, table), v in got.items():
         index = np.searchsorted(values, v).astype(np.uint8)
