@@ -1,7 +1,7 @@
 """Golden reports: the CLI's reports on stored models stay put.
 
 `tools/make_golden.py` wrote every file under tests/golden. Each case reruns
-one `explain` command on the stored model file and compares its report with
+one CLI command on the stored model files and compares its report with
 the golden one: strings, integers, key sets and list order (so rankings and
 LIME's selection order) exactly, floats within 1e-12. Bytes are not compared,
 because other SIMD reductions or LAPACK builds may move the last bits.

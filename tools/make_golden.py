@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the golden local-explanation reports in tests/golden/.
+"""Regenerate the golden reports in tests/golden/.
 
 For each model kind the script trains the CLI's default model (split seed
 42, train fraction 0.7) into ``tests/golden/models/<kind>.json``. On that
@@ -13,7 +13,10 @@ for the years 1934 and 1947, and for logistic, svm and tree also
 * ``explain --mode global-shap`` at the defaults (exhaustive coalitions,
   trainset background) over every year,
 
-and for the tree ``explain --mode global-shap --samples 200``.
+and for the tree ``explain --mode global-shap --samples 200``. Then, per kind,
+``explain --mode local-shap`` at the defaults (exhaustive coalitions) for
+1934 and 1947, and ``evaluate --on test`` and ``evaluate --on all`` over the
+four stored models at once, which covers ``predict`` (KNN's tie rule too).
 
 ``tests/golden/cases.json`` lists every
 command with its report file; ``tests/test_golden.py`` reruns each command
@@ -85,7 +88,7 @@ def _run(argv):
 
 
 def cases():
-    """Every golden command: explain arguments (without --data and --json) and report file."""
+    """Every golden command: CLI arguments (without --data and --json) and report file."""
     local = [
         {
             "name": f"{kind}-{stem}-{year}",
@@ -110,6 +113,23 @@ def cases():
                      "--samples", "200"],
             "report": "tree-global-shap-200.json",
         }
+    ] + [
+        {
+            "name": f"{kind}-local-shap-exhaustive-{year}",
+            "argv": ["explain", "--model", f"models/{kind}.json", "--mode", "local-shap",
+                     "--year", str(year)],
+            "report": f"{kind}-local-shap-exhaustive-{year}.json",
+        }
+        for kind in MODEL_KINDS
+        for year in YEARS
+    ] + [
+        {
+            "name": f"evaluate-{on}",
+            "argv": ["evaluate", "--model", *[f"models/{kind}.json" for kind in MODEL_KINDS],
+                     "--on", on],
+            "report": f"evaluate-{on}.json",
+        }
+        for on in ("test", "all")
     ]
 
 
