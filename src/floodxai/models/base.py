@@ -8,18 +8,22 @@ holds its frozen config dataclass as ``config`` and converts its learned
 state to and from JSON-native values with ``parameters()`` and
 ``from_parameters(params, config, scaler)``, which ``models.io`` uses.
 
-A model class may also define ``masked_proba(x, background, masks)``: the
-``(n_masks, n_background)`` flood probabilities of the hybrids that take
-the instance's value where a mask is set and the background row's value
-elsewhere, computed without building them. Kernel SHAP uses it in place of
-``predict_proba`` on the hybrids; it must agree with that to rounding. All
-four classes define it: logistic and SVM through ``masked_linear_proba``
-(the ``sigmoid`` of a logit shift, computed in one buffer of the table's
-size), the tree by one descent over the distinct patterns of the masks on
-its split features, KNN by sharing squared-distance prefixes; tree and KNN
-are bit-identical to scoring the hybrids. Every
-``masked_proba`` reads its masks through ``mask_table``: a 1-D mask is one
-row, and a table of the wrong width or rank raises a ``DatasetError``.
+``masked_proba(x, background, masks)`` gives the ``(n_masks, n_background)``
+flood probabilities of the hybrids that take the instance's value where a
+mask is set and the background row's value elsewhere, computed without
+building them. Kernel SHAP uses it in place of ``predict_proba`` on the
+hybrids; it must agree with that to rounding.
+
+The boundary lives in ``ProbabilityClassifier``: its ``predict_proba`` and
+``masked_proba`` check every input once, through ``prepare_features`` and
+``mask_table`` (a 1-D mask is one row; a table of the wrong width or rank
+raises a ``DatasetError``). A kind defines only its math: ``_proba(A)`` on a
+finite 2-D matrix and ``_masked_proba(x, bg, table)``. Logistic and SVM
+share ``LinearClassifier`` (the ``sigmoid`` of a logit shift, computed in
+one buffer of the table's size), the tree makes one descent over the
+distinct patterns of the masks on its split features, and KNN shares
+squared-distance prefixes; tree and KNN are bit-identical to scoring the
+hybrids.
 """
 
 from __future__ import annotations
@@ -83,28 +87,50 @@ def unwrap_single(values, single):
     return values[0].item() if single else values
 
 
-def masked_linear_proba(weights, intercept, x, background, masks):
-    """`masked_proba` of sigma(w . x + b): the hybrid's logit is the background
-    row's plus w_f (x_f - bg_f) for every masked-in feature f.
-
-    The (masks x background) table is one buffer: the logit shifts are written
-    into it, the background logits added and the sigmoid finished in place.
-    Each step is the operation of `sigmoid(bg_logit + shift)`, so the bits are
-    that expression's, without its four temporaries of the table's size.
-    """
-    n = weights.shape[0]
-    (x,), _ = prepare_features(x, n)
-    bg, _ = prepare_features(background, n)
-    z = mask_table(masks, n).astype(float) @ (weights * (x - bg)).T
-    z += bg @ weights + intercept
-    return _sigmoid_in_place(z)
-
-
 class ProbabilityClassifier:
-    """Mixin deriving hard predictions from ``predict_proba``."""
+    """The model boundary: checks every input once, then hands the kind's
+    ``_proba`` a finite 2-D matrix and its ``_masked_proba`` a finite instance,
+    background and bool mask table. Hard labels derive from ``predict_proba``."""
+
+    def predict_proba(self, X):
+        A, single = prepare_features(X, self.n_features)
+        return unwrap_single(self._proba(A), single)
 
     def predict(self, X):
         proba = self.predict_proba(X)
         if np.ndim(proba) == 0:
             return int(proba >= 0.5)
         return (np.asarray(proba) >= 0.5).astype(int)
+
+    def masked_proba(self, x, background, masks):
+        n = self.n_features
+        (x,), _ = prepare_features(x, n)
+        bg, _ = prepare_features(background, n)
+        return self._masked_proba(x, bg, mask_table(masks, n))
+
+
+class LinearClassifier(ProbabilityClassifier):
+    """sigma(w . x + offset) on raw features: logistic regression and the linear
+    SVM. A subclass holds ``weights`` and names its offset as ``_offset``."""
+
+    @property
+    def n_features(self):
+        return self.weights.shape[0]
+
+    def decision_function(self, X):
+        A, single = prepare_features(X, self.n_features)
+        return unwrap_single(A @ self.weights + self._offset, single)
+
+    def _proba(self, A):
+        return sigmoid(A @ self.weights + self._offset)
+
+    def _masked_proba(self, x, bg, table):
+        """The hybrid's logit is the background row's plus w_f (x_f - bg_f) for every
+        masked-in feature f. The (masks x background) table is one buffer: the logit
+        shifts are written into it, the background logits added and the sigmoid
+        finished in place. Each step is the operation of `sigmoid(bg_logit + shift)`,
+        so the bits are that expression's, without its four temporaries of the
+        table's size."""
+        z = table.astype(float) @ (self.weights * (x - bg)).T
+        z += bg @ self.weights + self._offset
+        return _sigmoid_in_place(z)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..dataset import fit_scaler
 from ..errors import ConfigError, DatasetError
-from .base import ProbabilityClassifier, mask_table, prepare_features, unwrap_single
+from .base import ProbabilityClassifier, prepare_features, unwrap_single
 
 # float64 distances computed at a time: a block of query rows, a block of masks
 _QUERY_BLOCK = 1 << 15
@@ -156,9 +156,8 @@ class KnnModel(ProbabilityClassifier):
                 block += d
         return D, single
 
-    def predict_proba(self, X):
-        D2, single = self._squared_distances(X)
-        return unwrap_single(_vote(D2, self._by_label[1], self.config.k), single)
+    def _proba(self, A):
+        return _vote(self._squared_distances(A)[0], self._by_label[1], self.config.k)
 
     def predict(self, X):
         """Majority vote; an exact 50/50 vote falls to the nearest neighbor's class."""
@@ -173,16 +172,13 @@ class KnnModel(ProbabilityClassifier):
             labels[i] = 1 if at_min[n0:].sum() >= at_min[:n0].sum() else 0
         return unwrap_single(labels, single)
 
-    def masked_proba(self, x, background, masks):
+    def _masked_proba(self, x, bg, masks):
         """`masked_proba` without hybrid rows: each squared distance is the sum, in
         feature order, of per-feature terms taken from the instance or the
         background row. The masks are lexsorted and walked in blocks, so masks that
         agree on features 0..j mostly share a block and one partial sum over them;
         that walk depends only on the mask table and is planned once per table."""
         train, n0 = self._by_label
-        (x,), _ = prepare_features(x, self.n_features)
-        bg, _ = prepare_features(background, self.n_features)
-        masks = mask_table(masks, self.n_features)
         step = max(1, _MASK_BLOCK // (len(bg) * train.shape[1]))
         # planned before the large arrays below exist: a plan cached from above them
         # on the heap would keep their freed space from being reused, and each new

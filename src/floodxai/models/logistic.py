@@ -13,13 +13,7 @@ import numpy as np
 
 from ..dataset import fit_scaler
 from ..errors import ConfigError
-from .base import (
-    ProbabilityClassifier,
-    masked_linear_proba,
-    prepare_features,
-    sigmoid,
-    unwrap_single,
-)
+from .base import LinearClassifier, sigmoid
 
 
 @dataclass(frozen=True)
@@ -53,7 +47,7 @@ def loss_and_gradient(weights, intercept, X, y, l2):
 
 
 @dataclass(eq=False)
-class LogisticModel(ProbabilityClassifier):
+class LogisticModel(LinearClassifier):
     """Trained logistic classifier: sigma(intercept + weights . x) in raw units."""
 
     weights: np.ndarray
@@ -63,8 +57,8 @@ class LogisticModel(ProbabilityClassifier):
     loss_history: np.ndarray = None
 
     @property
-    def n_features(self):
-        return self.weights.shape[0]
+    def _offset(self):
+        return self.intercept
 
     def parameters(self):
         return {"weights": list(self.weights), "intercept": self.intercept}
@@ -77,19 +71,6 @@ class LogisticModel(ProbabilityClassifier):
             config=config,
             scaler=scaler,
         )
-
-    def decision_function(self, X):
-        A, single = prepare_features(X, self.n_features)
-        z = A @ self.weights + self.intercept
-        return unwrap_single(z, single)
-
-    def predict_proba(self, X):
-        A, single = prepare_features(X, self.n_features)
-        p = sigmoid(A @ self.weights + self.intercept)
-        return unwrap_single(p, single)
-
-    def masked_proba(self, x, background, masks):
-        return masked_linear_proba(self.weights, self.intercept, x, background, masks)
 
 
 def train_logistic(train, config=None):

@@ -15,13 +15,7 @@ import numpy as np
 
 from ..dataset import fit_scaler
 from ..errors import ConfigError
-from .base import (
-    ProbabilityClassifier,
-    masked_linear_proba,
-    prepare_features,
-    sigmoid,
-    unwrap_single,
-)
+from .base import LinearClassifier
 
 
 @dataclass(frozen=True)
@@ -49,8 +43,11 @@ def hinge_objective(weights, bias, X, y_signed, C):
 
 
 @dataclass(eq=False)
-class SvmModel(ProbabilityClassifier):
-    """Trained linear SVM; the decision function is w . x + b on raw features."""
+class SvmModel(LinearClassifier):
+    """Trained linear SVM; the decision function is w . x + b on raw features.
+
+    ``predict_proba`` is the sigmoid of the margin: a smooth, uncalibrated
+    score in [0, 1]."""
 
     weights: np.ndarray
     bias: float
@@ -59,8 +56,8 @@ class SvmModel(ProbabilityClassifier):
     objective_history: np.ndarray = None
 
     @property
-    def n_features(self):
-        return self.weights.shape[0]
+    def _offset(self):
+        return self.bias
 
     def parameters(self):
         return {"weights": list(self.weights), "bias": self.bias}
@@ -73,20 +70,6 @@ class SvmModel(ProbabilityClassifier):
             config=config,
             scaler=scaler,
         )
-
-    def decision_function(self, X):
-        A, single = prepare_features(X, self.n_features)
-        z = A @ self.weights + self.bias
-        return unwrap_single(z, single)
-
-    def predict_proba(self, X):
-        """Sigmoid of the margin: a smooth, uncalibrated score in [0, 1]."""
-        A, single = prepare_features(X, self.n_features)
-        p = sigmoid(A @ self.weights + self.bias)
-        return unwrap_single(p, single)
-
-    def masked_proba(self, x, background, masks):
-        return masked_linear_proba(self.weights, self.bias, x, background, masks)
 
 
 def train_svm(train, config=None):

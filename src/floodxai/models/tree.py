@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, DatasetError
-from .base import ProbabilityClassifier, mask_table, prepare_features, unwrap_single
+from .base import ProbabilityClassifier
 
 
 def entropy(labels):
@@ -180,11 +180,10 @@ class TreeModel(ProbabilityClassifier):
             scaler=scaler,
         )
 
-    def predict_proba(self, X):
-        A, single = prepare_features(X, self.n_features)
+    def _proba(self, A):
         proba = np.empty(A.shape[0])
         self._assign(self.root, A, np.arange(A.shape[0]), proba)
-        return unwrap_single(proba, single)
+        return proba
 
     def _assign(self, node, A, indices, out):
         if indices.size == 0:
@@ -196,15 +195,12 @@ class TreeModel(ProbabilityClassifier):
         self._assign(node.left, A, indices[mask], out)
         self._assign(node.right, A, indices[~mask], out)
 
-    def masked_proba(self, x, background, masks):
+    def _masked_proba(self, x, bg, table):
         """One descent over the (mask pattern x background row) grid. A hybrid's leaf
         depends only on its mask bits on the features the tree splits on, so the masks
         are reduced to their distinct patterns there. At each split a pattern takes the
         instance's branch where its bit is set and the row's elsewhere; the reach sets
         are ANDed down the tree, so each hybrid gets the leaf `predict_proba` gives it."""
-        (x,), _ = prepare_features(x, self.n_features)
-        bg, _ = prepare_features(background, self.n_features)
-        table = mask_table(masks, self.n_features)
         key, axis = table[:, sorted({node.feature for node in self.internal_nodes()})], 0
         if key.shape[1] <= 62:
             # one exact integer per mask: unique rows (axis=0) cost many times more
@@ -224,16 +220,6 @@ class TreeModel(ProbabilityClassifier):
         # row-major like the hybrids' predictions, so a mean over background rows
         # sums in the same order and the coalition values stay bit-identical
         return out[inverse.reshape(-1)]
-
-    def leaves(self):
-        stack, found = [self.root], []
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                found.append(node)
-            else:
-                stack.extend((node.left, node.right))
-        return found
 
     def internal_nodes(self):
         stack, found = [self.root], []
