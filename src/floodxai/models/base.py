@@ -16,9 +16,12 @@ hybrids; it must agree with that to rounding.
 
 The boundary lives in ``ProbabilityClassifier``: its ``predict_proba`` and
 ``masked_proba`` check every input once, through ``prepare_features`` and
-``mask_table`` (a 1-D mask is one row; a table of the wrong width or rank
-raises a ``DatasetError``). A kind defines only its math: ``_proba(A)`` on a
-finite 2-D matrix and ``_masked_proba(x, bg, table)``. Logistic and SVM
+``mask_table``. A non-numeric or non-finite cell, a wrong width or rank, or a
+``masked_proba`` instance of other than one row raises a ``DatasetError``; a
+1-D mask is one row, and an empty background or mask table gives an empty
+table. A kind defines only its math: ``_proba(A)`` on a finite 2-D matrix,
+and ``_masked_proba(x, bg, table)`` on a finite instance, a non-empty
+background and a non-empty bool mask table. Logistic and SVM
 share ``LinearClassifier`` (the ``sigmoid`` of a logit shift, computed in
 one buffer of the table's size), the tree makes one descent over the
 distinct patterns of the masks on its split features, and KNN shares
@@ -31,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import _as_finite
-from ..errors import DatasetError
+from ..errors import ConfigError, DatasetError
 
 
 def sigmoid(z):
@@ -55,9 +58,13 @@ def _sigmoid_in_place(z):
 def prepare_features(X, n_features):
     """Coerce input to a 2-D float array, flagging single-vector input.
 
-    A DatasetError names the row and feature of the first non-finite cell.
+    A DatasetError names the row and feature of the first non-finite cell, or
+    says the input is not numeric.
     """
-    A = np.asarray(X, dtype=float)
+    try:
+        A = np.asarray(X, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"model input must be numeric: {exc}") from None
     single = A.ndim == 1
     if single:
         A = A.reshape(1, -1)
@@ -82,6 +89,15 @@ def mask_table(masks, n_features):
     return table.reshape(-1, n_features)
 
 
+def _finite_parameter(name, values):
+    """A model file's learned `values` as floats; a ConfigError names the field
+    if an entry is not finite (a JSON null reads as NaN)."""
+    A = np.asarray(values, dtype=float)
+    if not np.isfinite(A).all():
+        raise ConfigError(f"{name} must be finite, got a null, NaN or infinite entry")
+    return A
+
+
 def unwrap_single(values, single):
     """Undo `prepare_features`' reshape: a single vector's result as a Python scalar."""
     return values[0].item() if single else values
@@ -90,7 +106,8 @@ def unwrap_single(values, single):
 class ProbabilityClassifier:
     """The model boundary: checks every input once, then hands the kind's
     ``_proba`` a finite 2-D matrix and its ``_masked_proba`` a finite instance,
-    background and bool mask table. Hard labels derive from ``predict_proba``."""
+    a non-empty background and a non-empty bool mask table. Hard labels derive
+    from ``predict_proba``."""
 
     def predict_proba(self, X):
         A, single = prepare_features(X, self.n_features)
@@ -104,9 +121,14 @@ class ProbabilityClassifier:
 
     def masked_proba(self, x, background, masks):
         n = self.n_features
-        (x,), _ = prepare_features(x, n)
+        x, _ = prepare_features(x, n)
+        if len(x) != 1:
+            raise DatasetError(f"masked_proba takes one instance, got {len(x)} rows")
         bg, _ = prepare_features(background, n)
-        return self._masked_proba(x, bg, mask_table(masks, n))
+        table = mask_table(masks, n)
+        if not (len(table) and len(bg)):
+            return np.empty((len(table), len(bg)))
+        return self._masked_proba(x[0], bg, table)
 
 
 class LinearClassifier(ProbabilityClassifier):

@@ -13,11 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, fields
 
-import numpy as np
-
 from ..dataset import Scaler
 from ..errors import ConfigError
 from ..manifest import write_report
+from .base import _finite_parameter
 from .kinds import kind_entry, model_kind
 
 MODEL_FORMAT_VERSION = 1
@@ -32,10 +31,10 @@ def _scaler_to_dict(scaler):
 def _scaler_from_dict(payload):
     if payload is None:
         return None
-    return Scaler(
-        mean=np.asarray(payload["mean"], dtype=float),
-        std=np.asarray(payload["std"], dtype=float),
-    )
+    std = _finite_parameter("scaler std", payload["std"])
+    if not (std > 0).all():
+        raise ConfigError(f"scaler std must be positive, got {std.tolist()}")
+    return Scaler(mean=_finite_parameter("scaler mean", payload["mean"]), std=std)
 
 
 def model_to_dict(model, metadata=None):
@@ -57,7 +56,8 @@ def model_from_dict(payload):
 
     A payload that is not a valid model file raises ConfigError naming the
     unsupported version, unknown kind or hyperparameter, missing key,
-    non-object metadata, or value of the wrong type.
+    non-object metadata, value of the wrong type, hyperparameter out of range,
+    or learned parameter that is not finite (a scaler std must be positive).
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"a model file holds a JSON object, got {type(payload).__name__}")
@@ -85,7 +85,7 @@ def model_from_dict(payload):
         )
     except KeyError as exc:
         raise ConfigError(f"model file is missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed model file: {exc}") from None
 
 

@@ -19,9 +19,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ..dataset import fit_scaler
+from ..dataset import _check_integer, fit_scaler
 from ..errors import ConfigError, DatasetError
-from .base import ProbabilityClassifier, prepare_features, unwrap_single
+from .base import ProbabilityClassifier, _finite_parameter, prepare_features, unwrap_single
 
 # float64 distances computed at a time: a block of query rows, a block of masks
 _QUERY_BLOCK = 1 << 15
@@ -78,6 +78,7 @@ class KnnConfig:
     k: int = 5
 
     def validate(self):
+        _check_integer("k", self.k)
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
 
@@ -109,7 +110,7 @@ class KnnModel(ProbabilityClassifier):
 
     @classmethod
     def from_parameters(cls, params, config, scaler):
-        train_scaled = np.asarray(params["train_scaled"], dtype=float)
+        train_scaled = _finite_parameter("train_scaled", params["train_scaled"])
         train_labels = np.asarray(params["train_labels"], dtype=int)
         if train_scaled.ndim != 2:
             raise ConfigError(

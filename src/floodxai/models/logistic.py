@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import fit_scaler
+from ..dataset import _check_integer, fit_scaler
 from ..errors import ConfigError
-from .base import LinearClassifier, sigmoid
+from .base import LinearClassifier, _finite_parameter, sigmoid
 
 
 @dataclass(frozen=True)
@@ -23,12 +23,15 @@ class LogisticConfig:
     l2: float = 1e-4
 
     def validate(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
+        _check_integer("epochs", self.epochs)
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.l2 < 0:
-            raise ConfigError(f"l2 must be non-negative, got {self.l2}")
+        if not 0 <= self.l2 < np.inf:
+            raise ConfigError(f"l2 must be non-negative and finite, got {self.l2}")
 
 
 def loss_and_gradient(weights, intercept, X, y, l2):
@@ -66,8 +69,8 @@ class LogisticModel(LinearClassifier):
     @classmethod
     def from_parameters(cls, params, config, scaler):
         return cls(
-            weights=np.asarray(params["weights"], dtype=float),
-            intercept=float(params["intercept"]),
+            weights=_finite_parameter("weights", params["weights"]),
+            intercept=float(_finite_parameter("intercept", params["intercept"])),
             config=config,
             scaler=scaler,
         )

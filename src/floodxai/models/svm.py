@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import fit_scaler
+from ..dataset import _check_integer, fit_scaler
 from ..errors import ConfigError
-from .base import LinearClassifier
+from .base import LinearClassifier, _finite_parameter
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,15 @@ class SvmConfig:
     learning_rate: float = 0.5
 
     def validate(self):
-        if self.C <= 0:
-            raise ConfigError(f"C must be positive, got {self.C}")
+        if not 0 < self.C < np.inf:
+            raise ConfigError(f"C must be positive and finite, got {self.C}")
+        _check_integer("epochs", self.epochs)
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
 
 
 def hinge_objective(weights, bias, X, y_signed, C):
@@ -65,8 +68,8 @@ class SvmModel(LinearClassifier):
     @classmethod
     def from_parameters(cls, params, config, scaler):
         return cls(
-            weights=np.asarray(params["weights"], dtype=float),
-            bias=float(params["bias"]),
+            weights=_finite_parameter("weights", params["weights"]),
+            bias=float(_finite_parameter("bias", params["bias"])),
             config=config,
             scaler=scaler,
         )

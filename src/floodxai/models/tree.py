@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..dataset import _check_integer
 from ..errors import ConfigError, DatasetError
 from .base import ProbabilityClassifier
 
@@ -99,8 +100,10 @@ class TreeConfig:
     min_samples_leaf: int = 2
 
     def validate(self):
+        _check_integer("max_depth", self.max_depth)
         if self.max_depth < 0:
             raise ConfigError(f"max_depth must be >= 0, got {self.max_depth}")
+        _check_integer("min_samples_leaf", self.min_samples_leaf)
         if self.min_samples_leaf < 1:
             raise ConfigError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
 

@@ -195,8 +195,16 @@ class TestTrain:
             ("svm", "--c", "0"),
             ("logistic", "--lr", "0"),
             ("logistic", "--epochs", "0"),
+            ("logistic", "--lr", "nan"),
+            ("logistic", "--lr", "inf"),
+            ("svm", "--c", "nan"),
+            ("svm", "--c", "inf"),
+            ("svm", "--lr", "nan"),
         ],
-        ids=["k", "k-above-rows", "max-depth", "c", "lr", "epochs"],
+        ids=[
+            "k", "k-above-rows", "max-depth", "c", "lr", "epochs",
+            "lr-nan", "lr-inf", "c-nan", "c-inf", "svm-lr-nan",
+        ],
     )
     def test_invalid_hyperparameter_flag_exits_2(
         self, run_cli, data_path, tmp_path, kind, flag, value
@@ -349,6 +357,17 @@ class TestEvaluate:
             ("tree", lambda p: p["parameters"]["root"].update(threshold=float("nan")), "threshold"),
             ("tree", lambda p: _leftmost_leaf(p).update(n_samples=0), "n_samples must be >= 1"),
             ("tree", lambda p: _leftmost_leaf(p).update(n_flood=50), "n_flood must satisfy"),
+            ("knn", lambda p: p["hyperparameters"].update(k=2.5), "k must be an integer"),
+            ("knn", lambda p: p["hyperparameters"].update(k=True), "k must be an integer"),
+            ("logistic", lambda p: p["parameters"]["weights"].__setitem__(3, None),
+             "weights must be finite"),
+            ("logistic", lambda p: p["parameters"].update(intercept=None),
+             "intercept must be finite"),
+            ("svm", lambda p: p["parameters"].update(bias=float("inf")), "bias must be finite"),
+            ("knn", lambda p: p["parameters"]["train_scaled"][5].__setitem__(2, None),
+             "train_scaled must be finite"),
+            ("knn", lambda p: p["scaler"]["std"].__setitem__(4, 0.0), "std must be positive"),
+            ("logistic", lambda p: p["scaler"]["mean"].__setitem__(0, None), "mean must be finite"),
         ],
         ids=[
             "missing-key",
@@ -365,6 +384,14 @@ class TestEvaluate:
             "tree-nan-threshold",
             "tree-empty-leaf",
             "tree-flood-above-samples",
+            "knn-fractional-k",
+            "knn-boolean-k",
+            "logistic-null-weight",
+            "logistic-null-intercept",
+            "svm-infinite-bias",
+            "knn-null-train-cell",
+            "knn-zero-scaler-std",
+            "logistic-null-scaler-mean",
         ],
     )
     def test_malformed_model_file_exits_2(

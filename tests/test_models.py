@@ -32,7 +32,7 @@ from floodxai import (
     train_tree,
 )
 from floodxai.explain.shapley import _bit_table, _sample_coalitions
-from floodxai.models import model_from_dict, model_to_dict
+from floodxai.models import KINDS, ProbabilityClassifier, model_from_dict, model_to_dict
 from floodxai.models.base import sigmoid
 
 RNG = np.random.default_rng(7)
@@ -137,6 +137,12 @@ class TestLogistic:
             LogisticConfig(learning_rate=0.0),
             LogisticConfig(epochs=0),
             LogisticConfig(l2=-1.0),
+            LogisticConfig(learning_rate=float("nan")),
+            LogisticConfig(learning_rate=float("inf")),
+            LogisticConfig(l2=float("nan")),
+            LogisticConfig(l2=float("inf")),
+            LogisticConfig(epochs=10.5),
+            LogisticConfig(epochs=True),
         ],
     )
     def test_config_validation(self, config):
@@ -192,6 +198,11 @@ class TestKnn:
             train_knn(ds, k=0)
         with pytest.raises(ConfigError):
             train_knn(ds, k=4)
+
+    @pytest.mark.parametrize("config", [KnnConfig(k=0), KnnConfig(k=2.5), KnnConfig(k=True)])
+    def test_config_validation(self, config):
+        with pytest.raises(ConfigError):
+            config.validate()
 
     def test_distances_equal_scipy_cdist(self, parts):
         # summed in feature order, then square-rooted: scipy's exact steps
@@ -256,7 +267,13 @@ class TestTree:
         assert model.root.proba == pytest.approx(0.6)
 
     @pytest.mark.parametrize(
-        "config", [TreeConfig(max_depth=-1), TreeConfig(min_samples_leaf=0)]
+        "config",
+        [
+            TreeConfig(max_depth=-1),
+            TreeConfig(min_samples_leaf=0),
+            TreeConfig(max_depth=2.5),
+            TreeConfig(min_samples_leaf=True),
+        ],
     )
     def test_config_validation(self, config):
         with pytest.raises(ConfigError):
@@ -311,7 +328,15 @@ class TestSvm:
 
     @pytest.mark.parametrize(
         "config",
-        [SvmConfig(C=0.0), SvmConfig(epochs=0), SvmConfig(learning_rate=-0.1)],
+        [
+            SvmConfig(C=0.0),
+            SvmConfig(epochs=0),
+            SvmConfig(learning_rate=-0.1),
+            SvmConfig(C=float("nan")),
+            SvmConfig(C=float("inf")),
+            SvmConfig(learning_rate=float("nan")),
+            SvmConfig(epochs=100.0),
+        ],
     )
     def test_config_validation(self, config):
         with pytest.raises(ConfigError):
@@ -427,6 +452,84 @@ def test_masked_proba_reads_a_1d_mask_as_one_row(all_models, parts, kind):
         got = model.masked_proba(x, bg, mask)
         assert got.shape == (1, 3)
         np.testing.assert_array_equal(got, model.masked_proba(x, bg, mask[None, :]))
+
+
+def _with_cell(A, value):
+    """A copy of the matrix A with cell (1, 5) set to value (a string makes it non-numeric)."""
+    A = np.array(A, dtype=object if isinstance(value, str) else float)
+    A[1, 5] = value
+    return A
+
+
+MASKS = _bit_table(12)[::64]
+# name -> (arguments built from a 4-row matrix X and a 3-row background, expected
+# shape or DatasetError); for predict_proba, predict and decision_function
+ROW_INPUTS = {
+    "2-rows": (lambda X, bg: X[:2], (2,)),
+    "0-rows": (lambda X, bg: X[:0], (0,)),
+    "1-d-row": (lambda X, bg: X[1], ()),
+    "0-d": (lambda X, bg: X[0, 0], DatasetError),
+    "3-d": (lambda X, bg: X[None], DatasetError),
+    "nan-cell": (lambda X, bg: _with_cell(X, np.nan), DatasetError),
+    "inf-cell": (lambda X, bg: _with_cell(X, np.inf), DatasetError),
+    "wrong-width": (lambda X, bg: X[:, :11], DatasetError),
+    "non-numeric-cell": (lambda X, bg: _with_cell(X, "a"), DatasetError),
+}
+# for masked_proba: (instance, background, masks)
+MASKED_INPUTS = {
+    "one-instance": (lambda X, bg: (X[1], bg, MASKS), (len(MASKS), 3)),
+    "one-row-matrix-instance": (lambda X, bg: (X[1:2], bg, MASKS), (len(MASKS), 3)),
+    "0-row-instance": (lambda X, bg: (X[:0], bg, MASKS), DatasetError),
+    "2-row-instance": (lambda X, bg: (X[:2], bg, MASKS), DatasetError),
+    "0-d-instance": (lambda X, bg: (X[0, 0], bg, MASKS), DatasetError),
+    "3-d-background": (lambda X, bg: (X[1], bg[None], MASKS), DatasetError),
+    "nan-cell-instance": (lambda X, bg: (_with_cell(X, np.nan)[1], bg, MASKS), DatasetError),
+    "inf-cell-background": (lambda X, bg: (X[1], _with_cell(bg, np.inf), MASKS), DatasetError),
+    "wrong-width-instance": (lambda X, bg: (X[1, :11], bg, MASKS), DatasetError),
+    "wrong-width-background": (lambda X, bg: (X[1], bg[:, :11], MASKS), DatasetError),
+    "non-numeric-instance": (lambda X, bg: (_with_cell(X, "a")[1], bg, MASKS), DatasetError),
+    "non-numeric-background": (lambda X, bg: (X[1], _with_cell(bg, "a"), MASKS), DatasetError),
+    "empty-background": (lambda X, bg: (X[1], bg[:0], MASKS), (len(MASKS), 0)),
+    "empty-mask-table": (lambda X, bg: (X[1], bg, MASKS[:0]), (0, 3)),
+    "empty-both": (lambda X, bg: (X[1], bg[:0], MASKS[:0]), (0, 0)),
+}
+BOUNDARY_CASES = [
+    (kind, method, name)
+    for kind in MODEL_KINDS
+    for method in ("predict_proba", "predict", "decision_function")
+    if hasattr(KINDS[kind].model_class, method)
+    for name in ROW_INPUTS
+] + [(kind, "masked_proba", name) for kind in MODEL_KINDS for name in MASKED_INPUTS]
+
+
+@pytest.mark.parametrize(
+    "kind, method, name", BOUNDARY_CASES, ids=["-".join(case) for case in BOUNDARY_CASES]
+)
+def test_model_boundary_contract(all_models, parts, kind, method, name):
+    # used to raise a bare ValueError for a non-numeric cell (every kind and method)
+    # or a masked_proba instance of 0 or 2 rows, and ZeroDivisionError for KNN's
+    # masked_proba on an empty background
+    for inherited in ("predict_proba", "masked_proba"):
+        assert getattr(KINDS[kind].model_class, inherited) is getattr(
+            ProbabilityClassifier, inherited
+        ), f"{kind} bypasses the model boundary in {inherited}"
+    X, bg = parts.test.features()[:4], parts.train.features()[:3]
+    if method == "masked_proba":
+        build, expected = MASKED_INPUTS[name]
+        args = build(X, bg)
+    else:
+        build, expected = ROW_INPUTS[name]
+        args = (build(X, bg),)
+    call = getattr(all_models[kind], method)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if expected is DatasetError:
+            with pytest.raises(DatasetError):
+                call(*args)
+            return
+        got = np.asarray(call(*args))
+    assert got.shape == expected
+    assert np.isfinite(got).all()
 
 
 def _leaf(n_flood, n_samples):
