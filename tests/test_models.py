@@ -462,20 +462,20 @@ def _with_cell(A, value):
 
 
 MASKS = _bit_table(12)[::64]
-# name -> (arguments built from a 4-row matrix X and a 3-row background, expected
-# shape or DatasetError); for predict_proba, predict and decision_function
+# name -> (the input built from a 4-row matrix X, expected shape or DatasetError);
+# for predict_proba, predict and decision_function
 ROW_INPUTS = {
-    "2-rows": (lambda X, bg: X[:2], (2,)),
-    "0-rows": (lambda X, bg: X[:0], (0,)),
-    "1-d-row": (lambda X, bg: X[1], ()),
-    "0-d": (lambda X, bg: X[0, 0], DatasetError),
-    "3-d": (lambda X, bg: X[None], DatasetError),
-    "nan-cell": (lambda X, bg: _with_cell(X, np.nan), DatasetError),
-    "inf-cell": (lambda X, bg: _with_cell(X, np.inf), DatasetError),
-    "wrong-width": (lambda X, bg: X[:, :11], DatasetError),
-    "non-numeric-cell": (lambda X, bg: _with_cell(X, "a"), DatasetError),
+    "2-rows": (lambda X: X[:2], (2,)),
+    "0-rows": (lambda X: X[:0], (0,)),
+    "1-d-row": (lambda X: X[1], ()),
+    "0-d": (lambda X: X[0, 0], DatasetError),
+    "3-d": (lambda X: X[None], DatasetError),
+    "nan-cell": (lambda X: _with_cell(X, np.nan), DatasetError),
+    "inf-cell": (lambda X: _with_cell(X, np.inf), DatasetError),
+    "wrong-width": (lambda X: X[:, :11], DatasetError),
+    "non-numeric-cell": (lambda X: _with_cell(X, "a"), DatasetError),
 }
-# for masked_proba: (instance, background, masks)
+# for masked_proba: (instance, background, masks) built from X and a 3-row background
 MASKED_INPUTS = {
     "one-instance": (lambda X, bg: (X[1], bg, MASKS), (len(MASKS), 3)),
     "one-row-matrix-instance": (lambda X, bg: (X[1:2], bg, MASKS), (len(MASKS), 3)),
@@ -519,7 +519,7 @@ def test_model_boundary_contract(all_models, parts, kind, method, name):
         args = build(X, bg)
     else:
         build, expected = ROW_INPUTS[name]
-        args = (build(X, bg),)
+        args = (build(X),)
     call = getattr(all_models[kind], method)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
