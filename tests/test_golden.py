@@ -6,6 +6,10 @@ the golden one: strings, integers, key sets and list order (so rankings and
 LIME's selection order) exactly, floats within 1e-12. Bytes are not compared,
 because other SIMD reductions or LAPACK builds may move the last bits.
 
+Each kind is also retrained in a scratch directory under the stored model's
+relative path, and the model file and the `train --json` report are compared
+with the stored ones by the same rule, ignoring timestamps.
+
 The stored tree's `masked_proba` tables are compared exactly: each cell is a
 leaf fraction, which no reduction order can move.
 """
@@ -18,7 +22,14 @@ import zlib
 import numpy as np
 import pytest
 
-from floodxai import impute_missing, load_csv, load_model, split, strip_timestamps
+from floodxai import (
+    MODEL_KINDS,
+    impute_missing,
+    load_csv,
+    load_model,
+    split,
+    strip_timestamps,
+)
 from floodxai.explain.shapley import _bit_table
 
 from conftest import DATA_PATH, REPO_ROOT
@@ -56,6 +67,23 @@ def test_golden_report(case, run_cli, monkeypatch, tmp_path):
     got = strip_timestamps(json.loads(out.read_text(encoding="utf-8")))
     want = json.loads((GOLDEN_DIR / case["report"]).read_text(encoding="utf-8"))
     assert_report_matches(got, want)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_golden_train(kind, run_cli, monkeypatch, tmp_path):
+    # a relative --out keeps the report's path that of the stored model
+    monkeypatch.chdir(tmp_path)
+    model = f"models/{kind}.json"
+    code, _, err = run_cli(
+        ["train", "--data", DATA_PATH, "--model", kind, "--out", model, "--json", "report.json"]
+    )
+    assert code == 0, err
+    for got, want in ((model, model), ("report.json", f"{kind}-train.json")):
+        assert_report_matches(
+            strip_timestamps(json.loads((tmp_path / got).read_text(encoding="utf-8"))),
+            strip_timestamps(json.loads((GOLDEN_DIR / want).read_text(encoding="utf-8"))),
+            got,
+        )
 
 
 TREE_MASKED = json.loads((GOLDEN_DIR / "tree-masked-proba.json").read_text(encoding="utf-8"))

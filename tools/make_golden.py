@@ -15,12 +15,21 @@ for the years 1934 and 1947, and for logistic, svm and tree also
 
 and for the tree ``explain --mode global-shap --samples 200``. Then, per kind,
 ``explain --mode local-shap`` at the defaults (exhaustive coalitions) for
-1934 and 1947, and ``evaluate --on test`` and ``evaluate --on all`` over the
-four stored models at once, which covers ``predict`` (KNN's tie rule too).
+1934 and 1947, ``evaluate --on test`` and ``evaluate --on all`` over the
+four stored models at once, which covers ``predict`` (KNN's tie rule too),
+``summary``, and ``explain --mode compare --year 1947`` for the tree
+(exhaustive) and for logistic with ``--samples 200``. KNN's compare runs an
+exhaustive or 200-coalition global importance over every year, which takes
+seconds, so it has no golden report.
 
 ``tests/golden/cases.json`` lists every
 command with its report file; ``tests/test_golden.py`` reruns each command
 on the stored model and compares the result with the file.
+
+The ``train --json`` report of each stored model is ``<kind>-train.json``.
+``tests/test_golden.py`` retrains each kind in a scratch directory, under
+the same relative ``--out models/<kind>.json``, and compares both the model
+file and that report with the stored ones.
 
 ``tests/golden/tree-masked-proba.json`` holds the stored tree's
 ``masked_proba`` tables for the years in ``MASKED_YEARS``, on the trainset
@@ -130,6 +139,20 @@ def cases():
             "report": f"evaluate-{on}.json",
         }
         for on in ("test", "all")
+    ] + [
+        {"name": "summary", "argv": ["summary"], "report": "summary.json"},
+        {
+            "name": "tree-compare-1947",
+            "argv": ["explain", "--model", "models/tree.json", "--mode", "compare",
+                     "--year", "1947"],
+            "report": "tree-compare-1947.json",
+        },
+        {
+            "name": "logistic-compare-200-1947",
+            "argv": ["explain", "--model", "models/logistic.json", "--mode", "compare",
+                     "--year", "1947", "--samples", "200"],
+            "report": "logistic-compare-200-1947.json",
+        },
     ]
 
 
@@ -180,17 +203,22 @@ def tree_masked_proba():
 def main():
     (GOLDEN_DIR / "models").mkdir(parents=True, exist_ok=True)
     os.chdir(GOLDEN_DIR)
-    for kind in MODEL_KINDS:
-        _run(["train", "--data", DATA_PATH, "--model", kind, "--out", f"models/{kind}.json"])
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
+
+        def store(argv, report):
+            _run([*argv, "--data", DATA_PATH, "--json", out])
+            stripped = strip_timestamps(json.loads(out.read_text(encoding="utf-8")))
+            write_text(report, canonical_json(stripped))
+
+        for kind in MODEL_KINDS:
+            store(["train", "--model", kind, "--out", f"models/{kind}.json"], f"{kind}-train.json")
         for case in cases():
-            _run([*case["argv"], "--data", DATA_PATH, "--json", out])
-            report = strip_timestamps(json.loads(out.read_text(encoding="utf-8")))
-            write_text(case["report"], canonical_json(report))
+            store(case["argv"], case["report"])
     write_text("cases.json", json.dumps(cases(), indent=2) + "\n")
     write_text("tree-masked-proba.json", json.dumps(tree_masked_proba(), indent=1) + "\n")
-    print(f"wrote {len(cases())} reports, {len(MODEL_KINDS)} models and the tree's "
+    print(f"wrote {len(cases())} reports, {len(MODEL_KINDS)} models with their train "
+          f"reports and the tree's "
           f"masked_proba tables to {GOLDEN_DIR}")
 
 
