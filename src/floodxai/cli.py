@@ -1,10 +1,15 @@
 """Command-line front end: summary, train, evaluate, explain.
 
-One subcommand per process. Reports print as human-readable text on
-stdout; `--json PATH` writes the canonical JSON report (`-` for stdout)
-and `--svg PATH` writes a static chart where the mode has one. Every
-JSON report embeds a run manifest, and report files are written
-atomically so a failing run leaves nothing behind.
+One subcommand per process, and every subcommand has the same shape: check
+the flags, load the data, compute, print the text report, then write the
+outputs from one shared tail (`_emit`). The flag rules of `train` and
+`explain` (hyperparameters, `--year`, `--samples`, the explainer settings,
+`--svg` with `--mode compare`) are decided before any data is read.
+`--json PATH` writes the canonical JSON report (`-` for stdout) and
+`--svg PATH` writes a static chart where the mode has one. Every JSON
+report embeds a run manifest. Outputs are written atomically and only after
+the computation succeeded, so a usage, validation or runtime error leaves
+no report behind.
 
 Exit codes: 0 success, 2 usage or validation error, 3 runtime failure.
 """
@@ -13,11 +18,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from .dataset import impute_missing, load_csv, monthly_means, split
+from .dataset import MONTHS, impute_missing, load_csv, monthly_means, split
 from .errors import ConfigError, DatasetError, FloodXaiError
 from .explain import (
     EXHAUSTIVE,
@@ -175,17 +181,34 @@ def build_parser():
     return parser
 
 
-def _emit_json(path, report):
-    if path == "-":
+def _emit(args, report, svg=None):
+    """The one output tail: the JSON report and the chart, as the flags ask."""
+    if args.json == "-":
         sys.stdout.write(canonical_json(report))
-    else:
-        write_report(path, report)
-        print(f"json report -> {path}")
+    elif args.json:
+        write_report(args.json, report)
+        print(f"json report -> {args.json}")
+    if svg is not None and args.svg:
+        write_text(args.svg, svg)
+        print(f"svg chart -> {args.svg}")
+    return 0
 
 
-def _emit_svg(path, svg_text):
-    write_text(path, svg_text)
-    print(f"svg chart -> {path}")
+def _chart(text_chart, svg_chart, labels, values, title, **text_options):
+    """Print the bars as text; return the same bars as an SVG chart."""
+    print(text_chart(labels, values, **text_options))
+    return svg_chart(labels, values, title)
+
+
+def _manifest(args, seeds=None, **hyperparameters):
+    """The command's run manifest; every command records its --impute."""
+    return build_manifest(
+        args.command,
+        args.data,
+        _version(),
+        seeds=seeds,
+        hyperparameters=dict(hyperparameters, impute=args.impute),
+    )
 
 
 def _load_imputed(args):
@@ -207,10 +230,8 @@ def cmd_summary(args):
     else:
         print("imputed cells: none")
     print("\nmean monthly rainfall (mm):")
-    print(bar_chart(dataset.feature_names, means))
-
-    manifest = build_manifest(
-        "summary", args.data, _version(), hyperparameters={"impute": args.impute}
+    svg = _chart(
+        bar_chart, svg_bar_chart, dataset.feature_names, means, "Mean monthly rainfall (mm)"
     )
     report = {
         "schema": "floodxai.summary",
@@ -232,16 +253,22 @@ def cmd_summary(args):
             }
             for cell in dataset.imputations
         ],
+        "manifest": _manifest(args),
+    }
+    return _emit(args, report, svg)
+
+
+def _metrics_report(partition, n_rows, seed, fraction, scored, manifest):
+    """The floodxai.metrics report; `scored` holds (model path, kind, scores) per model."""
+    return {
+        "schema": "floodxai.metrics",
+        "schema_version": 1,
+        "partition": partition,
+        "n_rows": n_rows,
+        "split": {"seed": seed, "train_fraction": fraction},
+        "rows": [dict(scores.to_dict(), path=path, kind=kind) for path, kind, scores in scored],
         "manifest": manifest,
     }
-    if args.json:
-        _emit_json(args.json, report)
-    if args.svg:
-        _emit_svg(
-            args.svg,
-            svg_bar_chart(dataset.feature_names, means, "Mean monthly rainfall (mm)"),
-        )
-    return 0
 
 
 def _flag_kinds(field):
@@ -249,50 +276,37 @@ def _flag_kinds(field):
     return [k for k, e in KINDS.items() if field in {f.name for f in fields(e.config_class)}]
 
 
-def _build_train_config(args):
-    """The kind's default config with the given flags applied; errors name the flag."""
-    config = KINDS[args.model].config_class()
-    for flag, (field, _) in HYPERPARAMETER_FLAGS.items():
-        value = getattr(args, field)
-        if value is None:
-            continue
-        if args.model not in _flag_kinds(field):
-            raise ConfigError(f"{flag} does not apply to --model {args.model}")
-        # defaults are valid, so the flag just applied is the one validate rejects
-        config = replace(config, **{field: value})
-        try:
-            config.validate()
-        except ConfigError as exc:
-            raise ConfigError(f"{flag}: {exc}") from None
-    return config
-
-
-def cmd_train(args):
-    config = _build_train_config(args)
-    dataset = _load_imputed(args)
-    parts = split(dataset, args.split, args.seed)
+@contextmanager
+def _naming_flags():
+    """Prefix a config error with its train flag: config messages start with the field."""
     try:
-        model = train_model(args.model, parts.train, config)
+        yield
     except ConfigError as exc:
-        # the trainer checks bounds that depend on the training rows (knn: k <= rows);
-        # config messages start with the field, which names the flag
         flags = {field: flag for flag, (field, _) in HYPERPARAMETER_FLAGS.items()}
         flag = flags.get(str(exc).split(" ", 1)[0])
         if flag is None:
             raise
         raise ConfigError(f"{flag}: {exc}") from None
+
+
+def cmd_train(args):
+    given = {}
+    for flag, (field, _) in HYPERPARAMETER_FLAGS.items():
+        if getattr(args, field) is None:
+            continue
+        if args.model not in _flag_kinds(field):
+            raise ConfigError(f"{flag} does not apply to --model {args.model}")
+        given[field] = getattr(args, field)
+    config = replace(KINDS[args.model].config_class(), **given)
+    with _naming_flags():
+        config.validate()
+        dataset = _load_imputed(args)
+        parts = split(dataset, args.split, args.seed)
+        # the trainer checks bounds that depend on the training rows (knn: k <= rows)
+        model = train_model(args.model, parts.train, config)
     out_path = args.out or f"{args.model}_model.json"
-    manifest = build_manifest(
-        "train",
-        args.data,
-        _version(),
-        seeds={"split": args.seed},
-        hyperparameters={
-            "model": args.model,
-            "split": args.split,
-            "impute": args.impute,
-            **asdict(config),
-        },
+    manifest = _manifest(
+        args, seeds={"split": args.seed}, model=args.model, split=args.split, **asdict(config)
     )
     metadata = {
         "feature_names": list(dataset.feature_names),
@@ -311,18 +325,10 @@ def cmd_train(args):
         f"train accuracy {train_report.accuracy:.3f}"
     )
     print(f"model -> {out_path}")
-    if args.json:
-        report = {
-            "schema": "floodxai.metrics",
-            "schema_version": 1,
-            "partition": "train",
-            "n_rows": len(parts.train),
-            "split": {"seed": args.seed, "train_fraction": args.split},
-            "rows": [dict(train_report.to_dict(), path=out_path, kind=args.model)],
-            "manifest": manifest,
-        }
-        _emit_json(args.json, report)
-    return 0
+    scored = [(out_path, args.model, train_report)]
+    return _emit(
+        args, _metrics_report("train", len(parts.train), args.seed, args.split, scored, manifest)
+    )
 
 
 def _load_model(path):
@@ -359,43 +365,19 @@ def cmd_evaluate(args):
     seed, fraction = _resolve_split(args, [metadata for _, metadata in loaded])
     parts = split(dataset, fraction, seed)
     part = {"test": parts.test, "train": parts.train, "all": dataset}[args.on]
-    reports = []
+    scored = []
     for path, (model, _) in zip(args.model, loaded):
         kind = model_kind(model)
-        reports.append((path, kind, evaluate(model, part, name=DISPLAY_NAMES[kind])))
+        scored.append((path, kind, evaluate(model, part, name=DISPLAY_NAMES[kind])))
     print(
         f"partition: {args.on} ({len(part)} rows; split seed {seed}, "
         f"train fraction {fraction})"
     )
-    print(render_table([r for _, _, r in reports]))
-
-    if args.json:
-        manifest = build_manifest(
-            "evaluate",
-            args.data,
-            _version(),
-            seeds={"split": seed},
-            hyperparameters={
-                "on": args.on,
-                "split": fraction,
-                "impute": args.impute,
-                "models": list(args.model),
-            },
-        )
-        report = {
-            "schema": "floodxai.metrics",
-            "schema_version": 1,
-            "partition": args.on,
-            "n_rows": len(part),
-            "split": {"seed": seed, "train_fraction": fraction},
-            "rows": [
-                dict(scores.to_dict(), path=path, kind=kind)
-                for path, kind, scores in reports
-            ],
-            "manifest": manifest,
-        }
-        _emit_json(args.json, report)
-    return 0
+    print(render_table([scores for _, _, scores in scored]))
+    manifest = _manifest(
+        args, seeds={"split": seed}, on=args.on, split=fraction, models=list(args.model)
+    )
+    return _emit(args, _metrics_report(args.on, len(part), seed, fraction, scored, manifest))
 
 
 def _parse_budget(text):
@@ -409,79 +391,63 @@ def _parse_budget(text):
         ) from None
 
 
-def _require_year(args, dataset):
-    if args.year is None:
-        raise ConfigError(f"--mode {args.mode} requires --year")
-    record = dataset.record_for_year(args.year)
-    return np.asarray(record.monthly_mm, dtype=float)
-
-
 def cmd_explain(args):
     budget = _parse_budget(args.samples)
+    if args.mode != "global-shap" and args.year is None:
+        raise ConfigError(f"--mode {args.mode} requires --year")
+    # the CSV's features are always the twelve months, so the settings are checked
+    # before it is read; the background is filled in once the training rows exist
+    shap_config = ShapConfig(background=(), n_coalition_samples=budget, seed=args.seed)
+    lime_config = _lime_config(args, budget)
+    if args.mode != "local-lime":
+        shap_config.validate(len(MONTHS))
+    if args.mode in ("local-lime", "compare"):
+        lime_config.validate(len(MONTHS))
+    if args.mode == "compare" and args.svg:
+        raise ConfigError("--svg does not apply to --mode compare")
+
     dataset = _load_imputed(args)
     model, metadata = _load_model(args.model)
     seed = metadata.get("seed", 42)
-    fraction = metadata.get("split", 0.7)
-    parts = split(dataset, fraction, seed)
-    train = parts.train
+    train = split(dataset, metadata.get("split", 0.7), seed).train
     names = dataset.feature_names
-    if args.background == "trainset":
-        background = train.features()
-    else:
-        background = train.features().mean(axis=0, keepdims=True)
-    shap_config = ShapConfig(
-        background=background, n_coalition_samples=budget, seed=args.seed
-    )
-    manifest = build_manifest(
-        "explain",
-        args.data,
-        _version(),
-        seeds={"split": seed, "explainer": args.seed},
-        hyperparameters={
-            "model": args.model,
-            "mode": args.mode,
-            "background": args.background,
-            "samples": str(args.samples),
-            "bins": args.bins,
-            "kernel_width": args.kernel_width,
-            "top_features": args.top_features,
-            "impute": args.impute,
-        },
-    )
+    if args.mode != "global-shap":
+        x = np.asarray(dataset.record_for_year(args.year).monthly_mm, dtype=float)
+    background = train.features()
+    if args.background == "mean":
+        background = background.mean(axis=0, keepdims=True)
+    shap_config = replace(shap_config, background=background)
 
+    svg = None
     if args.mode == "global-shap":
         importance = global_importance(model, dataset.features(), shap_config, names)
         ranked = importance.ranked()
         print(f"global importance (mean |phi| over {len(dataset)} instances):")
-        print(bar_chart([n for n, _ in ranked], [v for _, v in ranked], value_format="{:.4f}"))
-        report = dict(importance.to_dict(), manifest=manifest)
-        svg = svg_bar_chart(
+        svg = _chart(
+            bar_chart,
+            svg_bar_chart,
             [n for n, _ in ranked],
             [v for _, v in ranked],
             "Global feature importance (mean |phi|)",
+            value_format="{:.4f}",
         )
+        report = importance.to_dict()
     elif args.mode == "local-shap":
-        x = _require_year(args, dataset)
         explanation = kernel_shap(model, x, shap_config, names)
         order = np.argsort(-np.abs(explanation.phi), kind="stable")
         print(
             f"year {args.year}: model output {explanation.model_output:.4f}, "
             f"base value {explanation.base_value:.4f}"
         )
-        print(
-            two_sided_bar_chart(
-                [names[i] for i in order], [explanation.phi[i] for i in order]
-            )
-        )
-        report = dict(explanation.to_dict(), year=args.year, manifest=manifest)
-        svg = svg_two_sided_bar_chart(
+        svg = _chart(
+            two_sided_bar_chart,
+            svg_two_sided_bar_chart,
             [names[i] for i in order],
             [explanation.phi[i] for i in order],
             f"Feature attributions for {args.year}",
         )
+        report = dict(explanation.to_dict(), year=args.year)
     elif args.mode == "local-lime":
-        x = _require_year(args, dataset)
-        lime_config = _lime_config(args, budget)
         explanation = explain_local(model, x, train, lime_config, names)
         label = "flood" if explanation.predicted_class == 1 else "no flood"
         print(
@@ -489,23 +455,17 @@ def cmd_explain(args):
             f"(p = {explanation.predicted_proba:.4f}); "
             f"local fidelity R^2 = {explanation.local_fidelity:.4f}"
         )
-        conditions = explanation.conditions
-        print(
-            two_sided_bar_chart(
-                [c.condition for c in conditions], [c.weight for c in conditions]
-            )
-        )
-        report = dict(explanation.to_dict(), year=args.year, manifest=manifest)
-        svg = svg_two_sided_bar_chart(
-            [c.condition for c in conditions],
-            [c.weight for c in conditions],
+        svg = _chart(
+            two_sided_bar_chart,
+            svg_two_sided_bar_chart,
+            [c.condition for c in explanation.conditions],
+            [c.weight for c in explanation.conditions],
             f"Local surrogate weights for {args.year}",
         )
+        report = dict(explanation.to_dict(), year=args.year)
     else:
-        x = _require_year(args, dataset)
         importance = global_importance(model, dataset.features(), shap_config, names)
         shap_local = kernel_shap(model, x, shap_config, names)
-        lime_config = _lime_config(args, budget)
         lime_local = explain_local(model, x, train, lime_config, names)
         top_k = args.top_features if args.top_features is not None else 5
         agreement = compare_explanations(importance, lime_local, shap_local, top_k)
@@ -521,16 +481,20 @@ def cmd_explain(args):
                 f"  {entry['feature']}: lime weight {entry['lime_weight']:+.4f}, "
                 f"shap phi {entry['shap_phi']:+.4f} -> {verdict}"
             )
-        report = dict(agreement.to_dict(), year=args.year, manifest=manifest)
-        svg = None
+        report = dict(agreement.to_dict(), year=args.year)
 
-    if args.json:
-        _emit_json(args.json, report)
-    if args.svg:
-        if svg is None:
-            raise ConfigError("--svg does not apply to --mode compare")
-        _emit_svg(args.svg, svg)
-    return 0
+    report["manifest"] = _manifest(
+        args,
+        seeds={"split": seed, "explainer": args.seed},
+        model=args.model,
+        mode=args.mode,
+        background=args.background,
+        samples=str(args.samples),
+        bins=args.bins,
+        kernel_width=args.kernel_width,
+        top_features=args.top_features,
+    )
+    return _emit(args, report, svg)
 
 
 def _lime_config(args, budget):
@@ -551,10 +515,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatasetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FloodXaiError as exc:
