@@ -300,8 +300,9 @@ def cmd_train(args):
     config = replace(KINDS[args.model].config_class(), **given)
     with _naming_flags():
         config.validate()
-        dataset = _load_imputed(args)
-        parts = split(dataset, args.split, args.seed)
+    dataset = _load_imputed(args)
+    parts = split(dataset, args.split, args.seed)
+    with _naming_flags():
         # the trainer checks bounds that depend on the training rows (knn: k <= rows)
         model = train_model(args.model, parts.train, config)
     out_path = args.out or f"{args.model}_model.json"
