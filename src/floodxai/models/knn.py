@@ -129,6 +129,14 @@ class KnnModel(ProbabilityClassifier):
             raise ConfigError(
                 f"k must satisfy 1 <= k <= {n} stored training rows, got {config.k}"
             )
+        width = train_scaled.shape[1]
+        if scaler is None:
+            raise ConfigError(f"scaler is missing; KNN standardizes its {width} features")
+        if scaler.mean.shape != (width,) or scaler.std.shape != (width,):
+            raise ConfigError(
+                f"scaler mean and std must have {width} entries, one per train_scaled "
+                f"feature, got shapes {scaler.mean.shape} and {scaler.std.shape}"
+            )
         return cls(
             config=config, train_scaled=train_scaled, train_labels=train_labels, scaler=scaler
         )
@@ -140,9 +148,9 @@ class KnnModel(ProbabilityClassifier):
         n0 = int(np.sum(self.train_labels == 0))
         return np.ascontiguousarray(self.train_scaled[order].T), n0
 
-    def _squared_distances(self, X):
-        """Squared distances from each row of X to the training rows, in `_by_label` order."""
-        A, single = prepare_features(X, self.n_features)
+    def _squared_distances(self, A):
+        """Squared distances from each row of the checked matrix A to the training rows,
+        in `_by_label` order."""
         queries = np.ascontiguousarray(self.scaler.transform(A).T)
         train, _ = self._by_label
         D = np.zeros((A.shape[0], train.shape[1]))
@@ -155,14 +163,15 @@ class KnnModel(ProbabilityClassifier):
                 np.subtract(q[:, None], t, out=d)
                 np.square(d, out=d)
                 block += d
-        return D, single
+        return D
 
     def _proba(self, A):
-        return _vote(self._squared_distances(A)[0], self._by_label[1], self.config.k)
+        return _vote(self._squared_distances(A), self._by_label[1], self.config.k)
 
     def predict(self, X):
         """Majority vote; an exact 50/50 vote falls to the nearest neighbor's class."""
-        D2, single = self._squared_distances(X)
+        A, single = prepare_features(X, self.n_features)
+        D2 = self._squared_distances(A)
         n0 = self._by_label[1]
         proba = _vote(D2, n0, self.config.k)
         labels = (proba >= 0.5).astype(int)

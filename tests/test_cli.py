@@ -368,6 +368,8 @@ class TestEvaluate:
              "train_scaled must be finite"),
             ("knn", lambda p: p["scaler"]["std"].__setitem__(4, 0.0), "std must be positive"),
             ("logistic", lambda p: p["scaler"]["mean"].__setitem__(0, None), "mean must be finite"),
+            ("knn", lambda p: p.update(scaler=None), "scaler is missing"),
+            ("knn", lambda p: p["scaler"]["mean"].pop(), "scaler mean and std must have 12"),
         ],
         ids=[
             "missing-key",
@@ -392,6 +394,8 @@ class TestEvaluate:
             "knn-null-train-cell",
             "knn-zero-scaler-std",
             "logistic-null-scaler-mean",
+            "knn-null-scaler",
+            "knn-short-scaler-mean",
         ],
     )
     def test_malformed_model_file_exits_2(
@@ -777,3 +781,60 @@ def test_invalid_value_exits_2(
     assert code == 2, err
     assert err.startswith("error:") and fragment in err
     assert "ValueError" not in err
+
+
+@pytest.mark.parametrize(
+    "command, model, extra",
+    [
+        ("explain", "tree", ["--mode", "compare", "--year", "1947"]),
+        ("explain", "tree", ["--mode", "local-shap"]),
+        ("explain", "tree", ["--mode", "local-lime", "--year", "1800"]),
+        ("explain", "tree", ["--mode", "local-shap", "--year", "1947", "--samples", "7"]),
+        ("explain", "tree", ["--mode", "local-shap", "--year", "1947", "--samples", "abc"]),
+        ("explain", "tree", ["--mode", "local-lime", "--year", "1947", "--seed", "-1"]),
+        ("explain", "tree", ["--mode", "local-lime", "--year", "1947", "--kernel-width", "0"]),
+        ("explain", "malformed", ["--mode", "local-shap", "--year", "1947"]),
+        ("evaluate", "malformed", []),
+        ("train", "knn", ["--lr", "0.5"]),
+        ("train", "knn", ["--k", "500"]),
+        ("train", "logistic", ["--lr", "nan"]),
+        ("train", "tree", ["--seed", "-1"]),
+    ],
+    ids=[
+        "compare-with-svg",
+        "local-mode-without-year",
+        "unknown-year",
+        "samples-below-minimum",
+        "samples-not-a-number",
+        "negative-seed",
+        "zero-kernel-width",
+        "explain-malformed-model",
+        "evaluate-malformed-model",
+        "inapplicable-train-flag",
+        "k-above-rows",
+        "lr-nan",
+        "train-negative-seed",
+    ],
+)
+def test_usage_error_writes_nothing(
+    run_cli, data_path, model_dir, tmp_path, command, model, extra
+):
+    # every output flag the command takes points into an empty directory
+    out = tmp_path / "out"
+    out.mkdir()
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+    outputs = {
+        "explain": ["--json", out / "report.json", "--svg", out / "chart.svg"],
+        "evaluate": ["--json", out / "report.json"],
+        "train": ["--json", out / "report.json", "--out", out / "model.json"],
+    }[command]
+    if command == "train":
+        argv = ["train", "--model", model]
+    else:
+        path = malformed if model == "malformed" else model_dir / f"{model}.json"
+        argv = [command, "--model", path]
+    code, _, err = run_cli([*argv, *extra, "--data", data_path, *outputs])
+    assert code == 2, err
+    assert err.startswith("error:")
+    assert list(out.iterdir()) == []

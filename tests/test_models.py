@@ -211,7 +211,7 @@ class TestKnn:
         X = np.vstack([parts.test.features(), RNG.normal(500.0, 300.0, size=(3000, 12))])
         order = np.argsort(model.train_labels, kind="stable")
         expected = cdist(model.scaler.transform(X), model.train_scaled[order])
-        np.testing.assert_array_equal(np.sqrt(model._squared_distances(X)[0]), expected)
+        np.testing.assert_array_equal(np.sqrt(model._squared_distances(X)), expected)
 
     def test_k_equals_n_predicts_base_rate(self, make_dataset):
         ds = make_dataset([[0], [1], [2], [3]], [0, 1, 1, 1])
