@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import os
-import tempfile
+import secrets
 from datetime import datetime, timezone
 
 SCHEMA_VERSION = 1
@@ -55,10 +55,15 @@ def write_report(path, obj):
 
 
 def write_text(path, text):
-    """Write text atomically (temp file, then rename): a failed write leaves nothing."""
+    """Write text atomically (temp file, then rename): a failed write leaves nothing.
+
+    The temp file is created with mode 0666 less the umask, so the renamed file
+    gets the mode that a plain `open` would give it.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp_path = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

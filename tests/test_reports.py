@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -73,6 +74,17 @@ class TestWriteReport:
             write_report(path, {"bad": object()})
         assert not path.exists()
         assert not any(p.suffix == ".tmp" for p in tmp_path.iterdir())
+
+    @pytest.mark.skipif(os.name != "posix", reason="the umask is a POSIX file mode")
+    def test_file_mode_follows_the_umask(self, tmp_path):
+        # the mode a plain open gives: 0666 less the umask
+        for umask, mode in ((0o022, 0o644), (0o002, 0o664), (0o077, 0o600)):
+            previous = os.umask(umask)
+            try:
+                path = write_report(tmp_path / f"{umask:03o}.json", {"k": 1})
+            finally:
+                os.umask(previous)
+            assert stat.S_IMODE(os.stat(path).st_mode) == mode
 
     def test_overwrites_existing_file_atomically(self, tmp_path):
         path = tmp_path / "report.json"
