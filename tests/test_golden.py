@@ -10,8 +10,9 @@ Each kind is also retrained in a scratch directory under the stored model's
 relative path, and the model file and the `train --json` report are compared
 with the stored ones by the same rule, ignoring timestamps.
 
-The stored tree's `masked_proba` tables are compared exactly: each cell is a
-leaf fraction, which no reduction order can move.
+The stored tree's and KNN's `masked_proba` tables are compared exactly: a
+tree cell is a leaf fraction and a KNN cell a vote over distances summed in
+feature order, which no reduction order can move.
 """
 
 import base64
@@ -86,17 +87,15 @@ def test_golden_train(kind, run_cli, monkeypatch, tmp_path):
         )
 
 
-TREE_MASKED = json.loads((GOLDEN_DIR / "tree-masked-proba.json").read_text(encoding="utf-8"))
-
-
-def test_golden_tree_masked_proba():
-    model = load_model(GOLDEN_DIR / TREE_MASKED["model"])
-    model_file = (GOLDEN_DIR / TREE_MASKED["model"]).read_text(encoding="utf-8")
+def assert_masked_proba_tables(kind):
+    golden = json.loads((GOLDEN_DIR / f"{kind}-masked-proba.json").read_text(encoding="utf-8"))
+    model = load_model(GOLDEN_DIR / golden["model"])
+    model_file = (GOLDEN_DIR / golden["model"]).read_text(encoding="utf-8")
     metadata = json.loads(model_file)["metadata"]
     dataset = impute_missing(load_csv(DATA_PATH))
     train = split(dataset, metadata["split"], metadata["seed"]).train.features()
     backgrounds = {"trainset": train, "mean": train.mean(axis=0, keepdims=True)}
-    codes = np.array(TREE_MASKED["sampled_codes"])
+    codes = np.array(golden["sampled_codes"])
     assert len(np.unique(codes)) < len(codes), "the sampled table should repeat masks"
     m = model.n_features
     tables = {
@@ -104,14 +103,23 @@ def test_golden_tree_masked_proba():
         "sampled": ((codes[:, None] >> np.arange(m)) & 1).astype(bool),
     }
     features = dict(zip(dataset.years(), dataset.features()))
-    values = np.array(TREE_MASKED["values"])
-    for case in TREE_MASKED["cases"]:
-        index = np.frombuffer(zlib.decompress(base64.b64decode(case["index"])), dtype=np.uint8)
+    values = np.array(golden["values"])
+    dtype = np.uint8 if len(values) <= 256 else np.uint16
+    for case in golden["cases"]:
+        index = np.frombuffer(zlib.decompress(base64.b64decode(case["index"])), dtype=dtype)
         got = model.masked_proba(
             features[case["year"]], backgrounds[case["background"]], tables[case["masks"]]
         )
         where = f"{case['year']}, {case['background']} background, {case['masks']} masks"
         np.testing.assert_array_equal(got, values[index].reshape(case["shape"]), err_msg=where)
+
+
+def test_golden_tree_masked_proba():
+    assert_masked_proba_tables("tree")
+
+
+def test_golden_knn_masked_proba():
+    assert_masked_proba_tables("knn")
 
 
 def test_comparison_is_exact_but_for_float_rounding():

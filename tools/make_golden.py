@@ -31,15 +31,19 @@ The ``train --json`` report of each stored model is ``<kind>-train.json``.
 the same relative ``--out models/<kind>.json``, and compares both the model
 file and that report with the stored ones.
 
-``tests/golden/tree-masked-proba.json`` holds the stored tree's
-``masked_proba`` tables for the years in ``MASKED_YEARS``, on the trainset
-and mean backgrounds, over the exhaustive mask table and over a seeded draw
-of masks with duplicates. Each table is leaf fractions, so it is stored
-exactly: the distinct values once, and per case each cell's index into them
-(uint8, zlib, base64).
+``tests/golden/tree-masked-proba.json`` and ``knn-masked-proba.json`` hold
+the stored tree's and KNN's ``masked_proba`` tables for the years in
+``MASKED_YEARS``, on the trainset and mean backgrounds, over the exhaustive
+mask table and over a seeded draw of masks with duplicates. A tree cell is a
+leaf fraction and a KNN cell a vote, one of a few rationals, so each table is
+stored exactly: the distinct values once, and per case each cell's index
+into them (uint8, or uint16 beyond 256 values; zlib, base64).
 
 The commands run with ``tests/golden`` as the working directory, so each
-report's manifest records the model path as ``models/<kind>.json``.
+report's manifest records the model path as ``models/<kind>.json``. Each
+model is trained under that relative path in a scratch directory, and the
+stored file is replaced only when more than its timestamps changed, so a
+rerun on an unchanged tree leaves the stored models untouched.
 
 Regenerate only for a change that is meant to alter these reports, and
 say in CHANGES.md what changed and why.
@@ -83,8 +87,9 @@ MODES = (
 )
 # kinds with an exhaustive global-shap report; KNN's takes about half a minute
 GLOBAL_KINDS = ("logistic", "svm", "tree")
-# tree masked_proba tables: 1934 and 1947, and the flood years 1961 and 2018
-MASKED_YEARS = (1934, 1947, 1961, 2018)
+# masked_proba tables per kind: 1934 and 1947, and for the tree the flood
+# years 1961 and 2018 (a KNN table on the trainset background takes 0.2 s)
+MASKED_YEARS = {"tree": (1934, 1947, 1961, 2018), "knn": YEARS}
 
 
 def _run(argv):
@@ -156,9 +161,15 @@ def cases():
     ]
 
 
-def tree_masked_proba():
-    """The stored tree's `masked_proba` tables, in the layout described above."""
-    payload = read_model_file("models/tree.json")
+def index_dtype(n_values):
+    """The narrowest unsigned index type for a table of `n_values` distinct values."""
+    return np.uint8 if n_values <= 256 else np.uint16
+
+
+def masked_proba_tables(kind):
+    """The stored `kind` model's `masked_proba` tables, in the layout described above."""
+    path = f"models/{kind}.json"
+    payload = read_model_file(path)
     model = model_from_dict(payload)
     dataset = impute_missing(load_csv(DATA_PATH))
     seed, fraction = payload["metadata"]["seed"], payload["metadata"]["split"]
@@ -175,16 +186,16 @@ def tree_masked_proba():
     features = dict(zip(dataset.years(), dataset.features()))
     got = {
         (year, name, table): model.masked_proba(features[year], bg, masks)
-        for year in MASKED_YEARS
+        for year in MASKED_YEARS[kind]
         for name, bg in backgrounds.items()
         for table, masks in tables.items()
     }
     values = np.unique(np.concatenate([v.ravel() for v in got.values()]))
-    if len(values) > 256:
-        raise SystemExit(f"{len(values)} distinct tree values do not fit uint8 indices")
+    if len(values) > 1 << 16:
+        raise SystemExit(f"{len(values)} distinct {kind} values do not fit uint16 indices")
     cases = []
     for (year, name, table), v in got.items():
-        index = np.searchsorted(values, v).astype(np.uint8)
+        index = np.searchsorted(values, v).astype(index_dtype(len(values)))
         cases.append({
             "year": year,
             "background": name,
@@ -193,11 +204,21 @@ def tree_masked_proba():
             "index": base64.b64encode(zlib.compress(index.tobytes(), 9)).decode("ascii"),
         })
     return {
-        "model": "models/tree.json",
+        "model": path,
         "sampled_codes": codes,
         "values": values.tolist(),
         "cases": cases,
     }
+
+
+def store_model(trained, stored):
+    """Copy the trained model file over the stored one unless only timestamps differ."""
+    new = trained.read_text(encoding="utf-8")
+    if stored.exists():
+        old = stored.read_text(encoding="utf-8")
+        if strip_timestamps(json.loads(old)) == strip_timestamps(json.loads(new)):
+            return
+    write_text(stored, new)
 
 
 def main():
@@ -211,14 +232,23 @@ def main():
             stripped = strip_timestamps(json.loads(out.read_text(encoding="utf-8")))
             write_text(report, canonical_json(stripped))
 
+        # each model is trained under its relative path in the scratch directory,
+        # so the train report records models/<kind>.json
+        os.chdir(tmp)
         for kind in MODEL_KINDS:
-            store(["train", "--model", kind, "--out", f"models/{kind}.json"], f"{kind}-train.json")
+            store(["train", "--model", kind, "--out", f"models/{kind}.json"],
+                  GOLDEN_DIR / f"{kind}-train.json")
+            store_model(Path(tmp) / "models" / f"{kind}.json",
+                        GOLDEN_DIR / "models" / f"{kind}.json")
+        os.chdir(GOLDEN_DIR)
         for case in cases():
             store(case["argv"], case["report"])
     write_text("cases.json", json.dumps(cases(), indent=2) + "\n")
-    write_text("tree-masked-proba.json", json.dumps(tree_masked_proba(), indent=1) + "\n")
+    for kind in MASKED_YEARS:
+        write_text(f"{kind}-masked-proba.json",
+                   json.dumps(masked_proba_tables(kind), indent=1) + "\n")
     print(f"wrote {len(cases())} reports, {len(MODEL_KINDS)} models with their train "
-          f"reports and the tree's "
+          f"reports and the {' and '.join(MASKED_YEARS)} "
           f"masked_proba tables to {GOLDEN_DIR}")
 
 
