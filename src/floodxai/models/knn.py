@@ -9,11 +9,15 @@ Coalition values (`KnnModel.masked_proba`) add the same per-feature terms
 along a trie of mask prefixes. The trie depends only on the mask table, so
 `_mask_plan` builds it once per table and exhaustive Kernel SHAP reuses it
 for every instance; the sums, and so the votes, stay those of the hybrid
-rows bit for bit.
+rows bit for bit. A call that fills more than one block of masks walks its
+blocks on one thread per available CPU (numpy's add, sort and square root
+release the GIL on blocks this large); the threads share the block's memory,
+so a call takes no more than a serial one, and there is no setting for them.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -24,8 +28,28 @@ from ..errors import ConfigError, DatasetError
 from .base import ProbabilityClassifier, _finite_parameter, prepare_features, unwrap_single
 
 # float64 distances computed at a time: a block of query rows, a block of masks
+# (shared by the threads of a `_masked_proba` call)
 _QUERY_BLOCK = 1 << 15
 _MASK_BLOCK = 1 << 19
+
+
+def _available_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(n_masks, cells, cpus):
+    """Threads for a `_masked_proba` call of `n_masks` masks with `cells` squared
+    distances each, on `cpus` CPUs. Each thread walks a block of `_MASK_BLOCK // n`
+    distances, so the call holds what a serial one does. There is one thread per
+    CPU, but no more than the blocks a serial call would fill (a call within one
+    block stays serial), none with an empty block, and at most 8, so a thread's
+    block is never below an eighth of `_MASK_BLOCK`: smaller blocks spend more on
+    per-block steps than a thread wins."""
+    serial = max(1, _MASK_BLOCK // cells)  # masks in one serial block
+    return max(1, min(cpus, -(-n_masks // serial), serial, 8))
 
 
 def euclidean_distance(a, b):
@@ -187,9 +211,18 @@ class KnnModel(ProbabilityClassifier):
         feature order, of per-feature terms taken from the instance or the
         background row. The masks are lexsorted and walked in blocks, so masks that
         agree on features 0..j mostly share a block and one partial sum over them;
-        that walk depends only on the mask table and is planned once per table."""
+        that walk depends only on the mask table and is planned once per table.
+
+        The blocks are independent, so `_worker_count` threads walk them, thread i
+        the blocks i, i + n, ...: each writes its own rows of the output and sums
+        into its own buffers, which together are the size of a serial call's. A
+        call within one serial block (every mean-background call) stays serial.
+        The sums and votes do not depend on the blocks, so the output is the same
+        for any thread count."""
         train, n0 = self._by_label
-        step = max(1, _MASK_BLOCK // (len(bg) * train.shape[1]))
+        cells = len(bg) * train.shape[1]
+        n = _worker_count(len(masks), cells, _available_cpus())
+        step = max(1, _MASK_BLOCK // (n * cells))
         # planned before the large arrays below exist: a plan cached from above them
         # on the heap would keep their freed space from being reused, and each new
         # table's plan would grow the heap again
@@ -198,12 +231,25 @@ class KnnModel(ProbabilityClassifier):
         terms = np.empty((self.n_features, 2, len(bg), train.shape[1]))
         np.square(self.scaler.transform(bg).T[:, :, None] - train[:, None, :], out=terms[:, 0])
         terms[:, 1] = np.square(self.scaler.transform(x)[:, None, None] - train[:, None, :])
-        buffers = np.empty((2, min(step, len(masks))) + terms.shape[2:])
+        buffers = np.empty((n, 2, min(step, len(masks))) + terms.shape[2:])
         out = np.empty((len(masks), len(bg)))
-        for rows, levels, group in plan:
-            sums = _prefix_sums(levels, terms, buffers)
-            proba = _vote(sums.reshape(-1, train.shape[1]), n0, self.config.k)
-            out[rows] = proba.reshape(len(sums), len(bg))[group]
+
+        def walk(blocks, buffers):
+            for rows, levels, group in blocks:
+                sums = _prefix_sums(levels, terms, buffers)
+                proba = _vote(sums.reshape(-1, train.shape[1]), n0, self.config.k)
+                out[rows] = proba.reshape(len(sums), len(bg))[group]
+
+        if n == 1:
+            walk(plan, buffers[0])
+        else:
+            # imported here: concurrent.futures pulls in logging, which every
+            # process would pay for at start-up
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(n) as pool:
+                # list() re-raises what a thread raised
+                list(pool.map(walk, [plan[i::n] for i in range(n)], buffers))
         return out
 
 
