@@ -693,6 +693,104 @@ def test_knn_empty_mask_table(all_models, parts):
     assert got.shape == (0, len(bg))
 
 
+def test_knn_worker_count():
+    block = knn_module._MASK_BLOCK
+    for cells in (1, 3 * 84, 84 * 84, block // 3, block, 5 * block):
+        serial = max(1, block // cells)  # masks in one serial block
+        for cpus in (1, 2, 3, 8, 64):
+            # a call within one serial block stays serial
+            assert knn_module._worker_count(0, cells, cpus) == 1
+            assert knn_module._worker_count(serial, cells, cpus) == 1
+            for n_masks in (serial + 1, 2 * serial, 4096, 10**6):
+                n = knn_module._worker_count(n_masks, cells, cpus)
+                assert 1 <= n <= min(cpus, 8)
+                assert n <= -(-n_masks // serial)  # no more than the serial blocks
+                assert block // (n * cells) >= 1 or n == 1  # no empty thread block
+                if serial >= 8 and n_masks >= 8 * serial:
+                    assert n == min(cpus, 8)
+    assert knn_module._available_cpus() >= 1
+
+
+def _knn_tables():
+    table = _bit_table(12)
+    rng = np.random.default_rng(5)
+    shuffled = table[rng.integers(0, len(table), size=3000)]  # shuffled, with duplicates
+    sampled = np.vstack([table[0], shapley._sample_coalitions(12, 200, 3)[0], table[-1]])
+    return {"exhaustive": table, "shuffled": shuffled, "sampled": sampled}
+
+
+@pytest.mark.parametrize("small_blocks", [False, True], ids=["mask-block", "small-blocks"])
+def test_knn_masked_proba_same_for_any_thread_count(all_models, parts, monkeypatch,
+                                                    small_blocks):
+    model = all_models["knn"]
+    x, bg = _knn_masked_cases(parts)
+    cells = len(bg) * len(parts.train)
+    monkeypatch.setattr(knn_module, "_available_cpus", lambda: 1)
+    serial = {name: model.masked_proba(x, bg, masks) for name, masks in _knn_tables().items()}
+    if small_blocks:
+        # 11 masks a serial block: 373 blocks of the full table, which 2 and 3
+        # threads split unevenly, in blocks of 5 and 3 masks
+        monkeypatch.setattr(knn_module, "_MASK_BLOCK", 11 * cells)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(knn_module, "_available_cpus", lambda: cpus)
+        for name, masks in _knn_tables().items():
+            if cpus > 1 and name != "sampled":
+                assert knn_module._worker_count(len(masks), cells, cpus) > 1
+            got = model.masked_proba(x, bg, masks)
+            np.testing.assert_array_equal(got, serial[name], err_msg=f"{cpus} CPUs, {name}")
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 7])
+def test_knn_masked_proba_exact_under_ties_on_threads(k, monkeypatch):
+    # the binary, triplicated training rows of the tie test, grown until a call
+    # fills several serial blocks
+    rng = np.random.default_rng(k)
+    train = np.repeat(rng.integers(0, 2, size=(64, 6)).astype(float), 3, axis=0)
+    labels = rng.integers(0, 2, len(train))
+    model = KnnModel(KnnConfig(k), train, labels, Scaler(np.zeros(6), np.ones(6)))
+    x = rng.integers(0, 2, size=6).astype(float)
+    bg = rng.integers(0, 2, size=(30, 6)).astype(float)
+    masks = np.vstack([_bit_table(6), rng.random((400, 6)) < 0.5])
+    assert knn_module._worker_count(len(masks), len(bg) * len(train), 2) == 2
+    hybrid = np.where(masks[:, None, :], x, bg[None, :, :]).reshape(-1, 6)
+    expected = _reference_knn_proba(model, hybrid).reshape(len(masks), len(bg))
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(knn_module, "_available_cpus", lambda: cpus)
+        np.testing.assert_array_equal(model.masked_proba(x, bg, masks), expected)
+
+
+def test_knn_masked_proba_concurrent_callers(knn, parts, monkeypatch):
+    # two threads call one fresh model at once: they share its lazily built
+    # training layout and the plan cache, and each call fans out in turn
+    import threading
+
+    x = parts.train.features()[5]
+    backgrounds = parts.train.features()[20:23], parts.train.features()[40:43]
+    rng = np.random.default_rng(11)
+    masks = _bit_table(12)[rng.permutation(4096)]  # a table no other test plans
+    monkeypatch.setattr(knn_module, "_available_cpus", lambda: 1)
+    expected = [knn.masked_proba(x, bg, masks) for bg in backgrounds]
+    monkeypatch.setattr(knn_module, "_available_cpus", lambda: 2)
+    model = KnnModel(knn.config, knn.train_scaled, knn.train_labels, knn.scaler)
+    start = threading.Barrier(2)
+    got = [None, None]
+
+    def call(i):
+        start.wait()
+        got[i] = model.masked_proba(x, backgrounds[i], masks)
+
+    before = knn_module._mask_plan.cache_info()
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    after = knn_module._mask_plan.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 2
+    np.testing.assert_array_equal(got[0], expected[0])
+    np.testing.assert_array_equal(got[1], expected[1])
+
+
 @pytest.mark.parametrize(
     "train",
     [
