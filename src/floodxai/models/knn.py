@@ -11,8 +11,9 @@ along a trie of mask prefixes. The trie depends only on the mask table, so
 for every instance; the sums, and so the votes, stay those of the hybrid
 rows bit for bit. A call that fills more than one block of masks walks its
 blocks on one thread per available CPU (numpy's add, sort and square root
-release the GIL on blocks this large); the threads share the block's memory,
-so a call takes no more than a serial one, and there is no setting for them.
+release the GIL on blocks this large). The threads split one block's worth of
+distances between them, so a call holds no more memory than a serial one;
+the thread count follows from the CPUs and the call's size, with no setting.
 """
 
 from __future__ import annotations
@@ -234,9 +235,9 @@ class KnnModel(ProbabilityClassifier):
         buffers = np.empty((n, 2, min(step, len(masks))) + terms.shape[2:])
         out = np.empty((len(masks), len(bg)))
 
-        def walk(blocks, buffers):
+        def walk(blocks, own):
             for rows, levels, group in blocks:
-                sums = _prefix_sums(levels, terms, buffers)
+                sums = _prefix_sums(levels, terms, own)
                 proba = _vote(sums.reshape(-1, train.shape[1]), n0, self.config.k)
                 out[rows] = proba.reshape(len(sums), len(bg))[group]
 

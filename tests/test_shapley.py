@@ -5,6 +5,8 @@ the same attributions; several tests assert their agreement on top of the
 closed forms available for constant and linear models.
 """
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -761,9 +763,8 @@ def test_knn_masked_proba_exact_under_ties_on_threads(k, monkeypatch):
 
 def test_knn_masked_proba_concurrent_callers(knn, parts, monkeypatch):
     # two threads call one fresh model at once: they share its lazily built
-    # training layout and the plan cache, and each call fans out in turn
-    import threading
-
+    # training layout and the plan cache, and each call fans out in turn, so
+    # four threads run on however many CPUs there are, switching often
     x = parts.train.features()[5]
     backgrounds = parts.train.features()[20:23], parts.train.features()[40:43]
     rng = np.random.default_rng(11)
@@ -776,15 +777,21 @@ def test_knn_masked_proba_concurrent_callers(knn, parts, monkeypatch):
     got = [None, None]
 
     def call(i):
-        start.wait()
+        start.wait(timeout=60)
         got[i] = model.masked_proba(x, backgrounds[i], masks)
 
     before = knn_module._mask_plan.cache_info()
     threads = [threading.Thread(target=call, args=(i,)) for i in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     after = knn_module._mask_plan.cache_info()
     assert after.hits + after.misses == before.hits + before.misses + 2
     np.testing.assert_array_equal(got[0], expected[0])

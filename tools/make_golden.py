@@ -85,10 +85,10 @@ MODES = (
     ("local-shap-512", ["--mode", "local-shap", "--samples", "512"]),
     ("local-shap-26", ["--mode", "local-shap", "--samples", "26"]),
 )
-# kinds with an exhaustive global-shap report; KNN's takes about half a minute
+# kinds with an exhaustive global-shap report; KNN's takes 16-18 s on two CPUs
 GLOBAL_KINDS = ("logistic", "svm", "tree")
 # masked_proba tables per kind: 1934 and 1947, and for the tree the flood
-# years 1961 and 2018 (a KNN table on the trainset background takes 0.2 s)
+# years 1961 and 2018 (a KNN table on the trainset background takes 0.1-0.2 s)
 MASKED_YEARS = {"tree": (1934, 1947, 1961, 2018), "knn": YEARS}
 
 
@@ -161,11 +161,6 @@ def cases():
     ]
 
 
-def index_dtype(n_values):
-    """The narrowest unsigned index type for a table of `n_values` distinct values."""
-    return np.uint8 if n_values <= 256 else np.uint16
-
-
 def masked_proba_tables(kind):
     """The stored `kind` model's `masked_proba` tables, in the layout described above."""
     path = f"models/{kind}.json"
@@ -193,9 +188,10 @@ def masked_proba_tables(kind):
     values = np.unique(np.concatenate([v.ravel() for v in got.values()]))
     if len(values) > 1 << 16:
         raise SystemExit(f"{len(values)} distinct {kind} values do not fit uint16 indices")
+    dtype = np.uint8 if len(values) <= 256 else np.uint16
     cases = []
     for (year, name, table), v in got.items():
-        index = np.searchsorted(values, v).astype(index_dtype(len(values)))
+        index = np.searchsorted(values, v).astype(dtype)
         cases.append({
             "year": year,
             "background": name,
