@@ -10,10 +10,11 @@ along a trie of mask prefixes. The trie depends only on the mask table, so
 `_mask_plan` builds it once per table and exhaustive Kernel SHAP reuses it
 for every instance; the sums, and so the votes, stay those of the hybrid
 rows bit for bit. A call that fills more than one block of masks walks its
-blocks on one thread per available CPU (numpy's add, sort and square root
-release the GIL on blocks this large). The threads split one block's worth of
-distances between them, so a call holds no more memory than a serial one;
-the thread count follows from the CPUs and the call's size, with no setting.
+blocks on two threads where two CPUs are available (numpy's add, sort and
+square root release the GIL on blocks this large). The threads split one
+block's worth of distances between them, so a call holds no more memory than
+a serial one; the thread count follows from the CPUs and the call's size,
+with no setting.
 """
 
 from __future__ import annotations
@@ -32,10 +33,16 @@ from .base import ProbabilityClassifier, _finite_parameter, prepare_features, un
 # (shared by the threads of a `_masked_proba` call)
 _QUERY_BLOCK = 1 << 15
 _MASK_BLOCK = 1 << 19
+# threads of one `_masked_proba` call: the most measured to pay. A thread's
+# block shrinks as their number grows, and two threads on blocks of 2^17
+# distances each ran about 35 % slower than two on 2^18 each
+_MAX_THREADS = 2
 
 
 def _available_cpus():
-    """The number of CPUs this process may run on."""
+    """The number of CPUs this process may run on. A cgroup CPU quota does not
+    lower it: a container limited to one CPU's time on a larger host still gets
+    `_MAX_THREADS` threads, which then take turns."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -46,11 +53,11 @@ def _worker_count(n_masks, cells, cpus):
     distances each, on `cpus` CPUs. Each thread walks a block of `_MASK_BLOCK // n`
     distances, so the call holds what a serial one does. There is one thread per
     CPU, but no more than the blocks a serial call would fill (a call within one
-    block stays serial), none with an empty block, and at most 8, so a thread's
-    block is never below an eighth of `_MASK_BLOCK`: smaller blocks spend more on
-    per-block steps than a thread wins."""
+    block stays serial), none with an empty block, and no more than
+    `_MAX_THREADS`: on two CPUs, two threads on half blocks beat one thread on a
+    whole block, but more threads on smaller blocks have not been measured."""
     serial = max(1, _MASK_BLOCK // cells)  # masks in one serial block
-    return max(1, min(cpus, -(-n_masks // serial), serial, 8))
+    return max(1, min(cpus, -(-n_masks // serial), serial, _MAX_THREADS))
 
 
 def euclidean_distance(a, b):

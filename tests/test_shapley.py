@@ -705,11 +705,11 @@ def test_knn_worker_count():
             assert knn_module._worker_count(serial, cells, cpus) == 1
             for n_masks in (serial + 1, 2 * serial, 4096, 10**6):
                 n = knn_module._worker_count(n_masks, cells, cpus)
-                assert 1 <= n <= min(cpus, 8)
+                assert 1 <= n <= min(cpus, 2)
                 assert n <= -(-n_masks // serial)  # no more than the serial blocks
                 assert block // (n * cells) >= 1 or n == 1  # no empty thread block
-                if serial >= 8 and n_masks >= 8 * serial:
-                    assert n == min(cpus, 8)
+                if serial >= 2 and n_masks >= 2 * serial:
+                    assert n == min(cpus, 2)
     assert knn_module._available_cpus() >= 1
 
 
@@ -730,16 +730,24 @@ def test_knn_masked_proba_same_for_any_thread_count(all_models, parts, monkeypat
     monkeypatch.setattr(knn_module, "_available_cpus", lambda: 1)
     serial = {name: model.masked_proba(x, bg, masks) for name, masks in _knn_tables().items()}
     if small_blocks:
-        # 11 masks a serial block: 373 blocks of the full table, which 2 and 3
-        # threads split unevenly, in blocks of 5 and 3 masks
-        monkeypatch.setattr(knn_module, "_MASK_BLOCK", 11 * cells)
+        # 12 masks a serial block; two threads walk blocks of 6 masks, 683 of
+        # the full table, so one thread takes a block more than the other
+        monkeypatch.setattr(knn_module, "_MASK_BLOCK", 12 * cells)
     for cpus in (1, 2, 3):
         monkeypatch.setattr(knn_module, "_available_cpus", lambda: cpus)
         for name, masks in _knn_tables().items():
             if cpus > 1 and name != "sampled":
-                assert knn_module._worker_count(len(masks), cells, cpus) > 1
+                assert knn_module._worker_count(len(masks), cells, cpus) == 2
             got = model.masked_proba(x, bg, masks)
             np.testing.assert_array_equal(got, serial[name], err_msg=f"{cpus} CPUs, {name}")
+    if small_blocks:
+        # the walk holds for more threads than the cap allows: three threads on
+        # blocks of 4 masks, 1024 of the full table
+        monkeypatch.setattr(knn_module, "_MAX_THREADS", 3)
+        for name, masks in _knn_tables().items():
+            assert knn_module._worker_count(len(masks), cells, 3) == 3
+            got = model.masked_proba(x, bg, masks)
+            np.testing.assert_array_equal(got, serial[name], err_msg=f"3 threads, {name}")
 
 
 @pytest.mark.parametrize("k", [1, 3, 4, 7])
