@@ -4,7 +4,8 @@ One subcommand per process, and every subcommand has the same shape: check
 the flags, load the data, compute, print the text report, then write the
 outputs from one shared tail (`_emit`). The flag rules of `train` and
 `explain` (hyperparameters, `--year`, `--samples`, the explainer settings,
-`--svg` with `--mode compare`) are decided before any data is read.
+`--svg` with `--mode compare`) and the split `--seed` and `--split` of
+`train` and `evaluate` are decided before any data is read.
 `--json PATH` writes the canonical JSON report (`-` for stdout) and
 `--svg PATH` writes a static chart where the mode has one. Every JSON
 report embeds a run manifest. Outputs are written atomically and only after
@@ -23,7 +24,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from .dataset import MONTHS, impute_missing, load_csv, monthly_means, split
+from .dataset import MONTHS, _check_split, impute_missing, load_csv, monthly_means, split
 from .errors import ConfigError, DatasetError, FloodXaiError
 from .explain import (
     EXHAUSTIVE,
@@ -62,6 +63,8 @@ HYPERPARAMETER_FLAGS = {
     "--epochs": ("epochs", "training epochs"),
 }
 _IMPUTE_CHOICES = ("column-mean", "zero")
+# the split of `train`, and of `evaluate` and `explain` on model files that record none
+_SPLIT_DEFAULTS = {"seed": 42, "split": 0.7}
 
 
 def _version():
@@ -106,9 +109,14 @@ def build_parser():
     p = sub.add_parser("train", help="train a classifier and save it as JSON")
     _add_common_io(p, svg=False)
     p.add_argument("--model", required=True, choices=MODEL_KINDS, help="model kind")
-    p.add_argument("--seed", type=int, default=42, help="split seed (default 42)")
     p.add_argument(
-        "--split", type=float, default=0.7, help="train fraction (default 0.7)"
+        "--seed", type=int, default=_SPLIT_DEFAULTS["seed"], help="split seed (default %(default)s)"
+    )
+    p.add_argument(
+        "--split",
+        type=float,
+        default=_SPLIT_DEFAULTS["split"],
+        help="train fraction (default %(default)s)",
     )
     p.add_argument(
         "--out", metavar="PATH", help="model output path (default <kind>_model.json)"
@@ -300,6 +308,7 @@ def cmd_train(args):
     config = replace(KINDS[args.model].config_class(), **given)
     with _naming_flags():
         config.validate()
+    _check_split_flags(args)
     dataset = _load_imputed(args)
     parts = split(dataset, args.split, args.seed)
     with _naming_flags():
@@ -338,29 +347,33 @@ def _load_model(path):
     return model_from_dict(payload), payload.get("metadata", {})
 
 
+def _check_split_flags(args):
+    """Check the given --seed and --split before any data is read. With no model
+    files `_resolve_split` reads a flag left out as its default; `evaluate`
+    checks the values its model files record when it splits."""
+    seed, fraction = _resolve_split(args, [])
+    _check_split(fraction, seed)
+
+
 def _resolve_split(args, metadata_list):
     """Split seed/fraction: explicit flags win, else the models' metadata."""
-    seed, fraction = args.seed, args.split
-    if seed is None:
-        seeds = {m.get("seed") for m in metadata_list} - {None}
-        if len(seeds) > 1:
-            raise ConfigError(
-                f"models were trained with different split seeds {sorted(seeds)}; "
-                "pass --seed to choose one"
-            )
-        seed = seeds.pop() if seeds else 42
-    if fraction is None:
-        fractions = {m.get("split") for m in metadata_list} - {None}
-        if len(fractions) > 1:
-            raise ConfigError(
-                f"models were trained with different split fractions "
-                f"{sorted(fractions)}; pass --split to choose one"
-            )
-        fraction = fractions.pop() if fractions else 0.7
-    return seed, fraction
+    resolved = []
+    for key, what in (("seed", "seeds"), ("split", "fractions")):
+        value = getattr(args, key)
+        if value is None:
+            recorded = {m.get(key) for m in metadata_list} - {None}
+            if len(recorded) > 1:
+                raise ConfigError(
+                    f"models were trained with different split {what} "
+                    f"{sorted(recorded)}; pass --{key} to choose one"
+                )
+            value = recorded.pop() if recorded else _SPLIT_DEFAULTS[key]
+        resolved.append(value)
+    return tuple(resolved)
 
 
 def cmd_evaluate(args):
+    _check_split_flags(args)
     dataset = _load_imputed(args)
     loaded = [_load_model(path) for path in args.model]
     seed, fraction = _resolve_split(args, [metadata for _, metadata in loaded])
@@ -409,8 +422,8 @@ def cmd_explain(args):
 
     dataset = _load_imputed(args)
     model, metadata = _load_model(args.model)
-    seed = metadata.get("seed", 42)
-    train = split(dataset, metadata.get("split", 0.7), seed).train
+    seed = metadata.get("seed", _SPLIT_DEFAULTS["seed"])
+    train = split(dataset, metadata.get("split", _SPLIT_DEFAULTS["split"]), seed).train
     names = dataset.feature_names
     if args.mode != "global-shap":
         x = np.asarray(dataset.record_for_year(args.year).monthly_mm, dtype=float)

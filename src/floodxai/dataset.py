@@ -312,14 +312,20 @@ def _check_seed(seed):
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
 
 
+def _check_split(train_fraction, seed):
+    """`split`'s rules on its settings, which need no data: a ConfigError names
+    the seed or the train_fraction."""
+    _check_seed(seed)
+    if not 0 < train_fraction < 1:
+        raise ConfigError(f"train_fraction must lie in (0, 1), got {train_fraction}")
+
+
 def split(dataset, train_fraction=0.7, seed=0):
     """Deterministic shuffled train/test split; train size = floor(fraction * n)."""
-    _check_seed(seed)
+    _check_split(train_fraction, seed)
     n = len(dataset)
     if n == 0:
         raise DatasetError("cannot split an empty dataset")
-    if not 0 < train_fraction < 1:
-        raise ConfigError(f"train_fraction must lie in (0, 1), got {train_fraction}")
     # tiny epsilon so exact-boundary products (0.7 * 10) floor as in exact arithmetic
     n_train = int(math.floor(train_fraction * n + 1e-9))
     if n_train == 0 or n_train == n:
@@ -368,15 +374,19 @@ def _as_finite(values, what):
     raise DatasetError(f"{what}{row} feature {j} is {rows[i, j]}; inputs must be finite")
 
 
+def _feature_matrix(train):
+    """A :class:`Dataset`'s feature matrix, or a plain matrix as a 2-D float array."""
+    if hasattr(train, "features"):
+        return train.features()
+    return np.atleast_2d(np.asarray(train, dtype=float))
+
+
 def fit_scaler(train):
     """Fit a :class:`Scaler` from training rows only (population statistics).
 
     Accepts a :class:`Dataset` or a plain feature matrix.
     """
-    if hasattr(train, "features"):
-        X = train.features()
-    else:
-        X = np.atleast_2d(np.asarray(train, dtype=float))
+    X = _feature_matrix(train)
     if X.shape[0] == 0:
         raise DatasetError("cannot fit a scaler on an empty dataset")
     mean = X.mean(axis=0)

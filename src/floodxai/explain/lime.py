@@ -11,12 +11,12 @@ such as "AUG > 510.02".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ..dataset import _as_finite, _check_integer, _check_seed, fit_scaler
+from ..dataset import _as_finite, _check_integer, _check_seed, _feature_matrix, fit_scaler
 from ..errors import ConfigError, DatasetError
 from .shapley import _feature_names, _predict_fn
 
@@ -118,13 +118,6 @@ class Discretizer:
         if b == len(cuts):
             return f"{name} > {cuts[-1]:.2f}"
         return f"{cuts[b - 1]:.2f} < {name} <= {cuts[b]:.2f}"
-
-
-def _feature_matrix(train):
-    """Accept a Dataset or a plain feature matrix."""
-    if hasattr(train, "features"):
-        return np.asarray(train.features(), dtype=float)
-    return np.atleast_2d(np.asarray(train, dtype=float))
 
 
 def _training_names(train, X, feature_names):
@@ -251,14 +244,7 @@ class LimeCondition:
     bin: int
 
     def to_dict(self):
-        return {
-            "feature": self.feature,
-            "feature_index": self.feature_index,
-            "condition": self.condition,
-            "weight": self.weight,
-            "instance_value": self.instance_value,
-            "bin": self.bin,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,14 +284,7 @@ class LimeExplanation:
             "conditions": [c.to_dict() for c in self.conditions],
             "local_prediction": self.local_prediction,
             "local_fidelity": float(self.local_fidelity),
-            "config": {
-                "n_perturbations": self.config.n_perturbations,
-                "kernel_width": self.kernel_width,
-                "n_selected_features": self.config.n_selected_features,
-                "n_bins": self.config.n_bins,
-                "seed": self.config.seed,
-                "resample": self.config.resample,
-            },
+            "config": dict(asdict(self.config), kernel_width=self.kernel_width),
         }
 
 
@@ -377,12 +356,9 @@ def fit_local_surrogate(model, samples, config, feature_names=None, discretizer=
     x = samples.instance
     m = x.shape[0]
     config.validate(m)
-    if feature_names is None:
-        feature_names = (
-            discretizer.feature_names
-            if discretizer is not None
-            else tuple(f"x{i}" for i in range(m))
-        )
+    if feature_names is None and discretizer is not None:
+        feature_names = discretizer.feature_names
+    feature_names = _feature_names(feature_names, m)
     varies = (samples.bits != samples.bits[:1]).any(axis=0)
     if samples.bits.shape[0] < 2 or not varies.any():
         raise DatasetError(
@@ -441,7 +417,7 @@ def fit_local_surrogate(model, samples, config, feature_names=None, discretizer=
             )
         )
     return LimeExplanation(
-        feature_names=tuple(feature_names),
+        feature_names=feature_names,
         instance=x,
         predicted_class=int(proba >= 0.5),
         predicted_proba=proba,

@@ -169,6 +169,23 @@ class ShapConfig:
         _check_seed(self.seed)
 
 
+def _report(result, schema, **body):
+    """The report of a ShapExplanation or GlobalImportance: its schema, `body`, and
+    the names, method and config echo the two share."""
+    return {
+        "schema": schema,
+        "schema_version": 1,
+        "feature_names": list(result.feature_names),
+        **body,
+        "method": result.method,
+        "config": {
+            "n_coalitions": int(result.n_coalitions),
+            "seed": None if result.seed is None else int(result.seed),
+            "background_fingerprint": result.background_fingerprint,
+        },
+    }
+
+
 @dataclass(frozen=True, eq=False)
 class ShapExplanation:
     """Per-feature attributions for a single instance."""
@@ -189,22 +206,15 @@ class ShapExplanation:
         return float(self.model_output - self.base_value - float(self.phi.sum()))
 
     def to_dict(self):
-        return {
-            "schema": "floodxai.shap_local",
-            "schema_version": 1,
-            "feature_names": list(self.feature_names),
-            "instance": [float(v) for v in self.instance],
-            "phi": [float(v) for v in self.phi],
-            "base_value": float(self.base_value),
-            "model_output": float(self.model_output),
-            "additivity_residual": self.additivity_residual,
-            "method": self.method,
-            "config": {
-                "n_coalitions": int(self.n_coalitions),
-                "seed": None if self.seed is None else int(self.seed),
-                "background_fingerprint": self.background_fingerprint,
-            },
-        }
+        return _report(
+            self,
+            "floodxai.shap_local",
+            instance=[float(v) for v in self.instance],
+            phi=[float(v) for v in self.phi],
+            base_value=float(self.base_value),
+            model_output=float(self.model_output),
+            additivity_residual=self.additivity_residual,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,20 +243,13 @@ class GlobalImportance:
         return [name for name, _ in self.ranked()[:k]]
 
     def to_dict(self):
-        return {
-            "schema": "floodxai.shap_global",
-            "schema_version": 1,
-            "feature_names": list(self.feature_names),
-            "importances": [float(v) for v in self.importances],
-            "ranking": [self.feature_names[i] for i in self.ranking],
-            "n_instances": int(self.n_instances),
-            "method": self.method,
-            "config": {
-                "n_coalitions": int(self.n_coalitions),
-                "seed": None if self.seed is None else int(self.seed),
-                "background_fingerprint": self.background_fingerprint,
-            },
-        }
+        return _report(
+            self,
+            "floodxai.shap_global",
+            importances=[float(v) for v in self.importances],
+            ranking=[self.feature_names[i] for i in self.ranking],
+            n_instances=int(self.n_instances),
+        )
 
 
 def _feature_names(feature_names, n_features):

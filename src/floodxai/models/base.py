@@ -6,7 +6,9 @@ the probability of the flood class, and derives hard labels by
 thresholding at 0.5 (probability 0.5 maps to class 1). Each model also
 holds its frozen config dataclass as ``config`` and converts its learned
 state to and from JSON-native values with ``parameters()`` and
-``from_parameters(params, config, scaler)``, which ``models.io`` uses.
+``from_parameters(params, config, scaler)``, which ``models.io`` uses. The
+tree and KNN each lay out their own; logistic and SVM share one layout,
+``weights`` and a named offset, in ``LinearClassifier``.
 
 ``masked_proba(x, background, masks)`` gives the ``(n_masks, n_background)``
 flood probabilities of the hybrids that take the instance's value where a
@@ -131,13 +133,39 @@ class ProbabilityClassifier:
         return self._masked_proba(x[0], bg, table)
 
 
+def _fold_to_raw(weights, offset, scaler):
+    """Standardized-space linear parameters folded back to raw units:
+    w . scaler.transform(x) + b == w' . x + b'. Returns (w', b')."""
+    return weights / scaler.std, float(offset - np.dot(weights / scaler.std, scaler.mean))
+
+
 class LinearClassifier(ProbabilityClassifier):
     """sigma(w . x + offset) on raw features: logistic regression and the linear
-    SVM. A subclass holds ``weights`` and names its offset as ``_offset``."""
+    SVM. A subclass is a dataclass with fields ``weights``, its offset (named by
+    ``OFFSET``), ``config`` and ``scaler``; its learned parameters are the
+    weights and the offset under that name."""
+
+    OFFSET = None
 
     @property
     def n_features(self):
         return self.weights.shape[0]
+
+    @property
+    def _offset(self):
+        return getattr(self, self.OFFSET)
+
+    def parameters(self):
+        return {"weights": list(self.weights), self.OFFSET: self._offset}
+
+    @classmethod
+    def from_parameters(cls, params, config, scaler):
+        return cls(
+            weights=_finite_parameter("weights", params["weights"]),
+            **{cls.OFFSET: float(_finite_parameter(cls.OFFSET, params[cls.OFFSET]))},
+            config=config,
+            scaler=scaler,
+        )
 
     def decision_function(self, X):
         A, single = prepare_features(X, self.n_features)

@@ -2,8 +2,9 @@
 
 Each file records the model kind, hyperparameters, learned parameters,
 the training scaler, and free-form metadata. Hyperparameters are the
-fields of the model's config dataclass; each model class lays out its own
-learned parameters (`parameters` / `from_parameters`). Floats survive the JSON
+fields of the model's config dataclass; the model class lays out the
+learned parameters (`parameters` / `from_parameters`), the linear pair through
+their shared `LinearClassifier`. Floats survive the JSON
 round trip exactly (shortest-repr encoding), so a reloaded model makes
 bit-identical predictions. Training curves are not persisted.
 """

@@ -10,11 +10,11 @@ along a trie of mask prefixes. The trie depends only on the mask table, so
 `_mask_plan` builds it once per table and exhaustive Kernel SHAP reuses it
 for every instance; the sums, and so the votes, stay those of the hybrid
 rows bit for bit. A call that fills more than one block of masks walks its
-blocks on two threads where two CPUs are available (numpy's add, sort and
-square root release the GIL on blocks this large). The threads split one
-block's worth of distances between them, so a call holds no more memory than
-a serial one; the thread count follows from the CPUs and the call's size,
-with no setting.
+blocks on two threads where two CPUs are available, counting no more CPUs
+than a cgroup CPU quota grants (numpy's add, sort and square root release the
+GIL on blocks this large). The threads split one block's worth of distances
+between them, so a call holds no more memory than a serial one; the thread
+count follows from the CPUs and the call's size, with no setting.
 """
 
 from __future__ import annotations
@@ -39,13 +39,36 @@ _MASK_BLOCK = 1 << 19
 _MAX_THREADS = 2
 
 
+def _read_cpu_max():
+    """The text of the cgroup v2 CPU quota file: `<quota> <period>` or `max <period>`."""
+    with open("/sys/fs/cgroup/cpu.max", encoding="ascii") as handle:
+        return handle.read()
+
+
+@lru_cache(maxsize=1)
+def _quota_cpus():
+    """The whole CPUs of this process's cgroup CPU quota, read once per process:
+    quota // period, at least 1. None when there is no quota to read: the file is
+    missing or unreadable, reads `max`, or holds anything but two positive
+    integers. Rounded down, as two threads on one CPU's time ran slower than one."""
+    try:
+        quota, period = (int(field) for field in _read_cpu_max().split())
+    except (OSError, ValueError):
+        return None
+    if quota < 1 or period < 1:
+        return None
+    return max(1, quota // period)
+
+
 def _available_cpus():
-    """The number of CPUs this process may run on. A cgroup CPU quota does not
-    lower it: a container limited to one CPU's time on a larger host still gets
-    `_MAX_THREADS` threads, which then take turns."""
+    """The number of CPUs this process may run on, capped by the whole CPUs of a
+    cgroup CPU quota where one is set."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    quota = _quota_cpus()
+    return cpus if quota is None else min(cpus, quota)
 
 
 def _worker_count(n_masks, cells, cpus):

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..dataset import _check_integer, fit_scaler
 from ..errors import ConfigError
-from .base import LinearClassifier, _finite_parameter, sigmoid
+from .base import LinearClassifier, _fold_to_raw, sigmoid
 
 
 @dataclass(frozen=True)
@@ -59,21 +59,7 @@ class LogisticModel(LinearClassifier):
     scaler: object = None
     loss_history: np.ndarray = None
 
-    @property
-    def _offset(self):
-        return self.intercept
-
-    def parameters(self):
-        return {"weights": list(self.weights), "intercept": self.intercept}
-
-    @classmethod
-    def from_parameters(cls, params, config, scaler):
-        return cls(
-            weights=_finite_parameter("weights", params["weights"]),
-            intercept=float(_finite_parameter("intercept", params["intercept"])),
-            config=config,
-            scaler=scaler,
-        )
+    OFFSET = "intercept"
 
 
 def train_logistic(train, config=None):
@@ -101,9 +87,7 @@ def train_logistic(train, config=None):
         w = w - config.learning_rate * grad_w
         b = b - config.learning_rate * grad_b
 
-    # fold the standardizer into the parameters: sigma(w.z + b) == sigma(w'.x + b')
-    w_raw = w / scaler.std
-    b_raw = float(b - np.dot(w / scaler.std, scaler.mean))
+    w_raw, b_raw = _fold_to_raw(w, b, scaler)
     return LogisticModel(
         weights=w_raw,
         intercept=b_raw,

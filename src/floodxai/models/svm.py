@@ -15,7 +15,7 @@ import numpy as np
 
 from ..dataset import _check_integer, fit_scaler
 from ..errors import ConfigError
-from .base import LinearClassifier, _finite_parameter
+from .base import LinearClassifier, _fold_to_raw
 
 
 @dataclass(frozen=True)
@@ -58,21 +58,7 @@ class SvmModel(LinearClassifier):
     scaler: object = None
     objective_history: np.ndarray = None
 
-    @property
-    def _offset(self):
-        return self.bias
-
-    def parameters(self):
-        return {"weights": list(self.weights), "bias": self.bias}
-
-    @classmethod
-    def from_parameters(cls, params, config, scaler):
-        return cls(
-            weights=_finite_parameter("weights", params["weights"]),
-            bias=float(_finite_parameter("bias", params["bias"])),
-            config=config,
-            scaler=scaler,
-        )
+    OFFSET = "bias"
 
 
 def train_svm(train, config=None):
@@ -109,8 +95,7 @@ def train_svm(train, config=None):
         b_avg = b_avg + (t / weight_sum) * (b - b_avg)
         history[t - 1] = hinge_objective(w_avg, b_avg, X, y, config.C)
 
-    w_raw = w_avg / scaler.std
-    b_raw = float(b_avg - np.dot(w_avg / scaler.std, scaler.mean))
+    w_raw, b_raw = _fold_to_raw(w_avg, b_avg, scaler)
     return SvmModel(
         weights=w_raw,
         bias=b_raw,

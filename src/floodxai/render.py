@@ -10,36 +10,35 @@ from __future__ import annotations
 from html import escape
 
 
-def bar_chart(labels, values, width=50, value_format="{:.2f}"):
-    """One-sided horizontal text bars scaled to the largest value."""
+def _text_bars(labels, values, width):
+    """(label padded to the widest, value, bar length) per bar; the largest
+    magnitude gets `width` characters."""
     values = [float(v) for v in values]
     labels = [str(x) for x in labels]
     peak = max((abs(v) for v in values), default=0.0)
     label_width = max((len(x) for x in labels), default=0)
-    lines = []
-    for label, value in zip(labels, values):
-        n = int(round(abs(value) / peak * width)) if peak > 0 else 0
-        lines.append(
-            f"{label.ljust(label_width)} | {'#' * n:<{width}} {value_format.format(value)}"
-        )
-    return "\n".join(lines)
+    return [
+        (label.ljust(label_width), value, int(round(abs(value) / peak * width)) if peak > 0 else 0)
+        for label, value in zip(labels, values)
+    ]
+
+
+def bar_chart(labels, values, width=50, value_format="{:.2f}"):
+    """One-sided horizontal text bars scaled to the largest value."""
+    return "\n".join(
+        f"{label} | {'#' * n:<{width}} {value_format.format(value)}"
+        for label, value, n in _text_bars(labels, values, width)
+    )
 
 
 def two_sided_bar_chart(labels, values, width=24, value_format="{:+.4f}"):
     """Signed horizontal text bars: negatives left of the axis, positives right."""
-    values = [float(v) for v in values]
-    labels = [str(x) for x in labels]
-    peak = max((abs(v) for v in values), default=0.0)
-    label_width = max((len(x) for x in labels), default=0)
     lines = []
-    for label, value in zip(labels, values):
-        n = int(round(abs(value) / peak * width)) if peak > 0 else 0
+    for label, value, n in _text_bars(labels, values, width):
         bar = "#" * n
         left = bar.rjust(width) if value < 0 else " " * width
         right = bar.ljust(width) if value >= 0 else " " * width
-        lines.append(
-            f"{label.ljust(label_width)} {left}|{right} {value_format.format(value)}"
-        )
+        lines.append(f"{label} {left}|{right} {value_format.format(value)}")
     return "\n".join(lines)
 
 
@@ -48,10 +47,16 @@ _BAR_GAP = 6
 _LABEL_SPACE = 150
 _VALUE_SPACE = 90
 _CHART_WIDTH = 640
+_BAR_SPAN = _CHART_WIDTH - _LABEL_SPACE - _VALUE_SPACE
 
 
-def _svg_header(n_bars, title):
-    height = 40 + n_bars * (_BAR_HEIGHT + _BAR_GAP)
+def _svg_bars(labels, values, title, span):
+    """An SVG chart's opening parts and its height, and per bar its top y, its
+    label's text element, its value and its bar length (the largest magnitude
+    gets `span`)."""
+    values = [float(v) for v in values]
+    labels = [str(x) for x in labels]
+    height = 40 + len(labels) * (_BAR_HEIGHT + _BAR_GAP)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CHART_WIDTH}" '
         f'height="{height}" viewBox="0 0 {_CHART_WIDTH} {height}" '
@@ -62,64 +67,52 @@ def _svg_header(n_bars, title):
             f'<text x="{_CHART_WIDTH / 2:.0f}" y="20" text-anchor="middle" '
             f'font-size="15">{escape(title, quote=False)}</text>'
         )
-    return parts, height
+    peak = max((abs(v) for v in values), default=0.0)
+    bars = []
+    for i, (label, value) in enumerate(zip(labels, values)):
+        y = 36 + i * (_BAR_HEIGHT + _BAR_GAP)
+        text = (
+            f'<text x="{_LABEL_SPACE - 8}" y="{y + 15}" text-anchor="end">'
+            f"{escape(label, quote=False)}</text>"
+        )
+        bars.append((y, text, value, abs(value) / peak * span if peak > 0 else 0.0))
+    return parts, height, bars
 
 
 def svg_bar_chart(labels, values, title=""):
     """Static SVG with one horizontal bar per label."""
-    values = [float(v) for v in values]
-    labels = [str(x) for x in labels]
-    parts, _ = _svg_header(len(labels), title)
-    peak = max((abs(v) for v in values), default=0.0)
-    span = _CHART_WIDTH - _LABEL_SPACE - _VALUE_SPACE
-    for i, (label, value) in enumerate(zip(labels, values)):
-        y = 36 + i * (_BAR_HEIGHT + _BAR_GAP)
-        w = abs(value) / peak * span if peak > 0 else 0.0
-        parts.append(
-            f'<text x="{_LABEL_SPACE - 8}" y="{y + 15}" text-anchor="end">'
-            f"{escape(label, quote=False)}</text>"
-        )
-        parts.append(
+    parts, _, bars = _svg_bars(labels, values, title, _BAR_SPAN)
+    for y, text, value, w in bars:
+        parts += [
+            text,
             f'<rect x="{_LABEL_SPACE}" y="{y}" width="{w:.1f}" '
-            f'height="{_BAR_HEIGHT}" fill="#4682b4"/>'
-        )
-        parts.append(
-            f'<text x="{_LABEL_SPACE + w + 6:.1f}" y="{y + 15}">{value:.2f}</text>'
-        )
+            f'height="{_BAR_HEIGHT}" fill="#4682b4"/>',
+            f'<text x="{_LABEL_SPACE + w + 6:.1f}" y="{y + 15}">{value:.2f}</text>',
+        ]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
 def svg_two_sided_bar_chart(labels, values, title=""):
     """Static SVG with a central axis; negative bars extend left."""
-    values = [float(v) for v in values]
-    labels = [str(x) for x in labels]
-    parts, height = _svg_header(len(labels), title)
-    peak = max((abs(v) for v in values), default=0.0)
-    axis = _LABEL_SPACE + (_CHART_WIDTH - _LABEL_SPACE - _VALUE_SPACE) / 2
-    half = (_CHART_WIDTH - _LABEL_SPACE - _VALUE_SPACE) / 2
+    half = _BAR_SPAN / 2
+    axis = _LABEL_SPACE + half
+    parts, height, bars = _svg_bars(labels, values, title, half)
     parts.append(
         f'<line x1="{axis:.1f}" y1="30" x2="{axis:.1f}" y2="{height - 10}" '
         'stroke="#888" stroke-width="1"/>'
     )
-    for i, (label, value) in enumerate(zip(labels, values)):
-        y = 36 + i * (_BAR_HEIGHT + _BAR_GAP)
-        w = abs(value) / peak * half if peak > 0 else 0.0
+    for y, text, value, w in bars:
         x = axis - w if value < 0 else axis
         color = "#b44646" if value < 0 else "#4682b4"
-        parts.append(
-            f'<text x="{_LABEL_SPACE - 8}" y="{y + 15}" text-anchor="end">'
-            f"{escape(label, quote=False)}</text>"
-        )
-        parts.append(
-            f'<rect x="{x:.1f}" y="{y}" width="{w:.1f}" height="{_BAR_HEIGHT}" '
-            f'fill="{color}"/>'
-        )
         anchor = "end" if value < 0 else "start"
         tx = axis - w - 6 if value < 0 else axis + w + 6
-        parts.append(
+        parts += [
+            text,
+            f'<rect x="{x:.1f}" y="{y}" width="{w:.1f}" height="{_BAR_HEIGHT}" '
+            f'fill="{color}"/>',
             f'<text x="{tx:.1f}" y="{y + 15}" text-anchor="{anchor}">'
-            f"{value:+.4f}</text>"
-        )
+            f"{value:+.4f}</text>",
+        ]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

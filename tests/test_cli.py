@@ -784,6 +784,28 @@ def test_invalid_value_exits_2(
 
 
 @pytest.mark.parametrize(
+    "command, extra, fragment",
+    [
+        ("train", ["--split", "1.5"], "train_fraction"),
+        ("train", ["--seed", "-1"], "seed"),
+        ("evaluate", ["--split", "0"], "train_fraction"),
+        ("evaluate", ["--seed", "-3"], "seed"),
+    ],
+    ids=["train-split", "train-seed", "evaluate-split", "evaluate-seed"],
+)
+def test_split_flags_checked_before_the_data_is_read(
+    run_cli, model_dir, tmp_path, command, extra, fragment
+):
+    # a missing CSV is not reached: the split flag is named first
+    missing = tmp_path / "missing.csv"
+    model = ["--model", "tree"] if command == "train" else ["--model", model_dir / "tree.json"]
+    code, _, err = run_cli([command, *model, "--data", missing, *extra])
+    assert code == 2, err
+    assert err.startswith("error:") and fragment in err
+    assert "missing.csv" not in err
+
+
+@pytest.mark.parametrize(
     "command, model, extra",
     [
         ("explain", "tree", ["--mode", "compare", "--year", "1947"]),

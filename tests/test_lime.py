@@ -136,6 +136,14 @@ class TestFitDiscretizer:
         disc = fit_discretizer(dataset)
         assert disc.feature_names == dataset.feature_names
         assert "JUN" in disc.condition(5, 650.0)
+        # a surrogate given no names takes the discretizer's, else x0, x1, ...
+        config = LimeConfig(n_perturbations=300)
+        samples = perturb(dataset.features()[0], disc, fit_scaler(dataset), config)
+        model = lambda X: np.atleast_2d(X)[:, 5] / 1000.0
+        explanation = fit_local_surrogate(model, samples, config, discretizer=disc)
+        assert explanation.feature_names == dataset.feature_names
+        explanation = fit_local_surrogate(model, samples, config)
+        assert explanation.feature_names == tuple(f"x{i}" for i in range(12))
 
 
 class TestPerturb:

@@ -5,6 +5,7 @@ the same attributions; several tests assert their agreement on top of the
 closed forms available for constant and linear models.
 """
 
+import os
 import sys
 import threading
 import tracemalloc
@@ -24,6 +25,7 @@ from floodxai import (
     exact_shapley,
     explain_local,
     fit_discretizer,
+    fit_local_surrogate,
     fit_scaler,
     global_importance,
     kernel_shap,
@@ -490,6 +492,13 @@ def test_non_finite_inputs_rejected(logistic, parts, entry, named):
         entry(logistic, x, background)
 
 
+def _surrogate(model, x, bg, names, with_discretizer):
+    """`fit_local_surrogate` on a perturbation set of x, given the discretizer or not."""
+    disc = fit_discretizer(bg)
+    samples = perturb(x, disc, fit_scaler(bg), LimeConfig())
+    return fit_local_surrogate(model, samples, LimeConfig(), names, disc if with_discretizer else None)
+
+
 @pytest.mark.parametrize(
     "entry",
     [
@@ -498,13 +507,24 @@ def test_non_finite_inputs_rejected(logistic, parts, entry, named):
         lambda f, x, bg, names: exact_shapley(f, x, bg, names),
         lambda f, x, bg, names: explain_local(f, x, bg, LimeConfig(), names),
         lambda f, x, bg, names: fit_discretizer(bg, 4, names),
+        lambda f, x, bg, names: _surrogate(f, x, bg, names, with_discretizer=True),
+        lambda f, x, bg, names: _surrogate(f, x, bg, names, with_discretizer=False),
     ],
-    ids=["kernel_shap", "global_importance", "exact_shapley", "explain_local", "fit_discretizer"],
+    ids=[
+        "kernel_shap",
+        "global_importance",
+        "exact_shapley",
+        "explain_local",
+        "fit_discretizer",
+        "fit_local_surrogate-discretizer",
+        "fit_local_surrogate-bits",
+    ],
 )
 @pytest.mark.parametrize("n_names", [3, 13])
 def test_feature_names_of_the_wrong_length_rejected(logistic, parts, entry, n_names):
     # too few names gave a 3-name report over 12 phi or an IndexError in ranked();
-    # LIME blamed n_selected_features or the instance width instead
+    # LIME blamed n_selected_features or the instance width instead, and its
+    # surrogate raised an IndexError on 3 names and reported all 13
     x = parts.test.features()[0]
     background = parts.train.features()[:8]
     names = tuple(f"m{i}" for i in range(n_names))
@@ -711,6 +731,47 @@ def test_knn_worker_count():
                 if serial >= 2 and n_masks >= 2 * serial:
                     assert n == min(cpus, 2)
     assert knn_module._available_cpus() >= 1
+
+
+@pytest.mark.parametrize(
+    "cpu_max, quota_cpus",
+    [
+        ("100000 100000\n", 1),
+        ("250000 100000\n", 2),
+        ("50000 100000\n", 1),
+        ("max 100000\n", None),
+        (None, None),
+        ("", None),
+        ("banana\n", None),
+        ("100000 0\n", None),
+        ("100000 100000 5\n", None),
+    ],
+    ids=["one-cpu", "two-and-a-half", "half-a-cpu", "max", "missing", "empty", "garbage",
+         "zero-period", "three-fields"],
+)
+def test_knn_cpus_capped_by_cgroup_quota(monkeypatch, cpu_max, quota_cpus):
+    # a quota's whole CPUs cap the affinity count; no readable quota leaves it,
+    # and the quota file is read once however often the count is asked
+    reads = []
+
+    def read():
+        reads.append(cpu_max)
+        if cpu_max is None:
+            raise FileNotFoundError("cpu.max")
+        return cpu_max
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    monkeypatch.setattr(knn_module, "_read_cpu_max", read)
+    knn_module._quota_cpus.cache_clear()
+    try:
+        assert knn_module._quota_cpus() == quota_cpus
+        for _ in range(3):
+            assert knn_module._available_cpus() == (
+                cpus if quota_cpus is None else min(cpus, quota_cpus)
+            )
+        assert len(reads) == 1
+    finally:
+        knn_module._quota_cpus.cache_clear()
 
 
 def _knn_tables():
