@@ -12,12 +12,12 @@ for the years 1934 and 1947, and for logistic, svm and tree also
 
 * ``explain --mode global-shap`` at the defaults (exhaustive coalitions,
   trainset background) over every year,
+* ``explain --mode global-shap --samples 200`` over every year.
 
-and for the tree ``explain --mode global-shap --samples 200``. Then, per kind,
-``explain --mode local-shap`` at the defaults (exhaustive coalitions) for
-1934 and 1947, ``evaluate --on test`` and ``evaluate --on all`` over the
-four stored models at once, which covers ``predict`` (KNN's tie rule too),
-``summary``, and ``explain --mode compare --year 1947`` for the tree
+Then, per kind, ``explain --mode local-shap`` at the defaults (exhaustive
+coalitions) for 1934 and 1947, ``evaluate --on test`` and ``evaluate --on
+all`` over the four stored models at once, which covers ``predict`` (KNN's
+tie rule too), ``summary``, and ``explain --mode compare --year 1947`` for the tree
 (exhaustive) and for logistic with ``--samples 200``. KNN's compare runs an
 exhaustive or 200-coalition global importance over every year, which takes
 seconds, so it has no golden report.
@@ -122,11 +122,12 @@ def cases():
         for kind in GLOBAL_KINDS
     ] + [
         {
-            "name": "tree-global-shap-200",
-            "argv": ["explain", "--model", "models/tree.json", "--mode", "global-shap",
+            "name": f"{kind}-global-shap-200",
+            "argv": ["explain", "--model", f"models/{kind}.json", "--mode", "global-shap",
                      "--samples", "200"],
-            "report": "tree-global-shap-200.json",
+            "report": f"{kind}-global-shap-200.json",
         }
+        for kind in GLOBAL_KINDS
     ] + [
         {
             "name": f"{kind}-local-shap-exhaustive-{year}",
