@@ -4,8 +4,9 @@ One subcommand per process, and every subcommand has the same shape: check
 the flags, load the data, compute, print the text report, then write the
 outputs from one shared tail (`_emit`). The flag rules of `train` and
 `explain` (hyperparameters, `--year`, `--samples`, the explainer settings,
-`--svg` with `--mode compare`) and the split `--seed` and `--split` of
-`train` and `evaluate` are decided before any data is read.
+`--svg` with `--mode compare`), the split `--seed` and `--split` of
+`train` and `evaluate`, and the split seed and fraction that the model files
+of `evaluate` and `explain` record are decided before any data is read.
 `--json PATH` writes the canonical JSON report (`-` for stdout) and
 `--svg PATH` writes a static chart where the mode has one. Every JSON
 report embeds a run manifest. Outputs are written atomically and only after
@@ -342,15 +343,22 @@ def cmd_train(args):
 
 
 def _load_model(path):
-    """A model file's model and its metadata, from a single read."""
+    """A model file's model and its metadata, from a single read. The split seed
+    and fraction it records are checked by `split`'s rule (one left out reads as
+    its default), so a malformed one exits 2 before any data is read."""
     payload = read_model_file(path)
-    return model_from_dict(payload), payload.get("metadata", {})
+    model, metadata = model_from_dict(payload), payload.get("metadata", {})
+    try:
+        _check_split(*(metadata.get(key, _SPLIT_DEFAULTS[key]) for key in ("split", "seed")))
+    except ConfigError as exc:
+        raise ConfigError(f"model file {path} records a bad split: {exc}") from None
+    return model, metadata
 
 
 def _check_split_flags(args):
     """Check the given --seed and --split before any data is read. With no model
-    files `_resolve_split` reads a flag left out as its default; `evaluate`
-    checks the values its model files record when it splits."""
+    files `_resolve_split` reads a flag left out as its default; `_load_model`
+    checks the values model files record."""
     seed, fraction = _resolve_split(args, [])
     _check_split(fraction, seed)
 
@@ -361,7 +369,7 @@ def _resolve_split(args, metadata_list):
     for key, what in (("seed", "seeds"), ("split", "fractions")):
         value = getattr(args, key)
         if value is None:
-            recorded = {m.get(key) for m in metadata_list} - {None}
+            recorded = {m[key] for m in metadata_list if key in m}
             if len(recorded) > 1:
                 raise ConfigError(
                     f"models were trained with different split {what} "
@@ -374,9 +382,9 @@ def _resolve_split(args, metadata_list):
 
 def cmd_evaluate(args):
     _check_split_flags(args)
-    dataset = _load_imputed(args)
     loaded = [_load_model(path) for path in args.model]
     seed, fraction = _resolve_split(args, [metadata for _, metadata in loaded])
+    dataset = _load_imputed(args)
     parts = split(dataset, fraction, seed)
     part = {"test": parts.test, "train": parts.train, "all": dataset}[args.on]
     scored = []
@@ -420,8 +428,8 @@ def cmd_explain(args):
     if args.mode == "compare" and args.svg:
         raise ConfigError("--svg does not apply to --mode compare")
 
-    dataset = _load_imputed(args)
     model, metadata = _load_model(args.model)
+    dataset = _load_imputed(args)
     seed = metadata.get("seed", _SPLIT_DEFAULTS["seed"])
     train = split(dataset, metadata.get("split", _SPLIT_DEFAULTS["split"]), seed).train
     names = dataset.feature_names

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -316,6 +317,8 @@ def _check_split(train_fraction, seed):
     """`split`'s rules on its settings, which need no data: a ConfigError names
     the seed or the train_fraction."""
     _check_seed(seed)
+    if isinstance(train_fraction, bool) or not isinstance(train_fraction, numbers.Real):
+        raise ConfigError(f"train_fraction must be a number, got {train_fraction!r}")
     if not 0 < train_fraction < 1:
         raise ConfigError(f"train_fraction must lie in (0, 1), got {train_fraction}")
 

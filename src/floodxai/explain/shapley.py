@@ -13,8 +13,10 @@ The coalition value v(S) uses background substitution: features in S take
 the instance's values, the rest are replaced by background rows, and the
 model output (flood probability) is averaged over the background. The
 oracles (`exact_shapley`, `coalition_value`) always build those hybrid rows
-and call `predict_proba`; `kernel_shap` and `global_importance` use the
-model class's own `masked_proba` when it has one (logistic, SVM, tree, KNN).
+and call `predict_proba`; `kernel_shap` and `global_importance` ask the
+model class's own `masked_mean` for v(S) when it has one (logistic, SVM,
+tree, KNN), and otherwise average its `masked_proba` or the hybrids'
+predictions.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 
 from ..dataset import _as_finite, _check_seed
 from ..errors import ConfigError, DatasetError
+from ..models.base import _bit_table
 
 EXHAUSTIVE = "exhaustive"
 MAX_EXACT_FEATURES = 20
@@ -53,15 +56,6 @@ def background_fingerprint(background):
     digest.update(repr(bg.shape).encode("ascii"))
     digest.update(bg.tobytes())
     return "sha256:" + digest.hexdigest()
-
-
-@lru_cache(maxsize=8)
-def _bit_table(n_features):
-    """All 2^M subset masks as a boolean table, row index = subset bitmask."""
-    codes = np.arange(1 << n_features, dtype=np.int64)
-    table = ((codes[:, None] >> np.arange(n_features)) & 1).astype(bool)
-    table.setflags(write=False)
-    return table
 
 
 def _hybrid_fn(predict):
@@ -96,6 +90,26 @@ def _masked_fn(model):
     return _hybrid_fn(_predict_fn(model))
 
 
+def _mean_fn(model):
+    """v(S) of each mask of one chunk: the model class's own `masked_mean` if the
+    class that defines it also defines the `masked_proba` and `predict_proba` in use;
+    otherwise the mean over background rows of `_masked_fn`'s probabilities. So a
+    class that defines `masked_proba` but not `masked_mean` still has its
+    `masked_proba` used, and `_masked_fn`'s owner rule decides the rest."""
+    cls = type(model)
+    owner = _defined_in(cls, "masked_mean")
+    if owner is not None and all(
+        owner is _defined_in(cls, name) for name in ("masked_proba", "predict_proba")
+    ):
+        return partial(owner.masked_mean, model)
+    return _table_mean(_masked_fn(model))
+
+
+def _table_mean(masked):
+    """The v(S) function of a `masked_proba`-like function: its rows' means."""
+    return lambda x, bg, masks: masked(x, bg, masks).mean(axis=1)
+
+
 def _coalition_values(predict, instance, background, masks):
     """v(S) for every mask row from `predict` on the hybrid rows: the oracles' path."""
     return _masked_values(_hybrid_fn(predict), instance, background, masks)
@@ -103,6 +117,12 @@ def _coalition_values(predict, instance, background, masks):
 
 def _masked_values(masked, instance, background, masks):
     """v(S) for every mask row, averaging `masked`'s probabilities over background rows."""
+    return _mean_values(_table_mean(masked), instance, background, masks)
+
+
+def _mean_values(mean, instance, background, masks):
+    """v(S) for every mask row from `mean`, asked for at most `_CHUNK_VALUES`
+    (masks x background rows) per call."""
     masks = np.atleast_2d(np.asarray(masks, dtype=bool))
     n_masks = masks.shape[0]
     bg = np.atleast_2d(_as_finite(background, "background"))
@@ -117,8 +137,7 @@ def _masked_values(masked, instance, background, masks):
     values = np.empty(n_masks)
     step = max(1, _CHUNK_VALUES // n_bg)
     for start in range(0, n_masks, step):
-        preds = masked(x, bg, masks[start : start + step])
-        values[start : start + step] = preds.mean(axis=1)
+        values[start : start + step] = mean(x, bg, masks[start : start + step])
     return values
 
 
@@ -376,7 +395,7 @@ def _sample_coalitions(m, budget, seed):
     return masks, np.array(list(counts.values()), dtype=float)
 
 
-def _attribute(masked, x, config, offset=0):
+def _attribute(mean, x, config, offset=0):
     """(phi, v(empty), v(full), n_coalitions) over one mask table: the empty coalition,
     the regression's coalitions, the full one. Sampled mode seeds config.seed + offset."""
     m = x.shape[0]
@@ -387,7 +406,7 @@ def _attribute(masked, x, config, offset=0):
         budget = config.n_coalition_samples if m > 1 else 0  # one feature: no interior
         interior, weights = _sample_coalitions(m, budget, config.seed + offset)
         table = np.vstack([np.zeros(m, dtype=bool), interior, np.ones(m, dtype=bool)])
-    values = _masked_values(masked, x, config.background, table)
+    values = _mean_values(mean, x, config.background, table)
     v_empty, v_full = values[0], values[-1]
     delta = v_full - v_empty
     target = values[1:-1] - v_empty - table[1:-1, -1] * delta
@@ -414,7 +433,7 @@ def kernel_shap(model, instance, config, feature_names=None):
     m = x.shape[0]
     names = _feature_names(feature_names, m)
     config.validate(m)
-    phi, v_empty, v_full, n_coalitions = _attribute(_masked_fn(model), x, config)
+    phi, v_empty, v_full, n_coalitions = _attribute(_mean_fn(model), x, config)
     return ShapExplanation(
         feature_names=names,
         instance=x,
@@ -440,10 +459,10 @@ def global_importance(model, X, config, feature_names=None):
     m = X.shape[1]
     names = _feature_names(feature_names, m)
     config.validate(m)
-    masked = _masked_fn(model)
+    mean = _mean_fn(model)
     total = np.zeros(m)
     for i, row in enumerate(X):
-        phi, _, _, n_coalitions = _attribute(masked, row, config, offset=i)
+        phi, _, _, n_coalitions = _attribute(mean, row, config, offset=i)
         total += np.abs(phi)
     return GlobalImportance(
         feature_names=names,

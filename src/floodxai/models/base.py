@@ -13,25 +13,41 @@ tree and KNN each lay out their own; logistic and SVM share one layout,
 ``masked_proba(x, background, masks)`` gives the ``(n_masks, n_background)``
 flood probabilities of the hybrids that take the instance's value where a
 mask is set and the background row's value elsewhere, computed without
-building them. Kernel SHAP uses it in place of ``predict_proba`` on the
-hybrids; it must agree with that to rounding.
+building them; it must agree with ``predict_proba`` on the hybrids to
+rounding. ``masked_mean(x, background, masks)`` gives the coalition value
+v(S) of each mask: the mean of that table over the background rows. Kernel
+SHAP asks for v(S) only, so a kind may compute it without the table.
 
-The boundary lives in ``ProbabilityClassifier``: its ``predict_proba`` and
-``masked_proba`` check every input once, through ``prepare_features`` and
-``mask_table``. A non-numeric or non-finite cell, a wrong width or rank, or a
-``masked_proba`` instance of other than one row raises a ``DatasetError``; a
-1-D mask is one row, and an empty background or mask table gives an empty
-table. A kind defines only its math: ``_proba(A)`` on a finite 2-D matrix,
-and ``_masked_proba(x, bg, table)`` on a finite instance, a non-empty
-background and a non-empty bool mask table. Logistic and SVM
-share ``LinearClassifier`` (the ``sigmoid`` of a logit shift, computed in
-one buffer of the table's size), the tree makes one descent over the
-distinct patterns of the masks on its split features, and KNN shares
-squared-distance prefixes; tree and KNN are bit-identical to scoring the
-hybrids.
+The boundary lives in ``ProbabilityClassifier``: its ``predict_proba``,
+``masked_proba`` and ``masked_mean`` check every input once, through
+``prepare_features`` and ``mask_table``. A non-numeric or non-finite cell, a
+wrong width or rank, or an instance of other than one row raises a
+``DatasetError``; a 1-D mask is one row, and an empty background or mask
+table gives an empty table. ``masked_mean`` of an empty background raises a
+``DatasetError``, as there is nothing to average. A kind defines only its
+math: ``_proba(A)`` on a finite 2-D matrix, ``_masked_proba(x, bg, table)``
+on a finite instance, a non-empty background and a non-empty bool mask
+table, and optionally ``_masked_mean`` on the same inputs, which defaults to
+the mean of ``_masked_proba``. Logistic and SVM share ``LinearClassifier``
+(the ``sigmoid`` of a logit shift, computed in one buffer of the table's
+size), the tree makes one descent over the distinct patterns of the masks
+on its split features, and KNN shares squared-distance prefixes; tree and
+KNN are bit-identical to scoring the hybrids.
+
+Two kinds define ``_masked_mean``. The tree averages each distinct pattern's
+row once and is bit-identical to the table mean. The linear models, on the
+full lattice ``_bit_table(M)`` in code order, build exp(-logit) as a product
+of one factor per feature: v(S) is then within a few ulps (1e-12 is the
+bound the tests hold it to) of the table mean, and v(empty) keeps its bits.
+They do so only while every background row has |logit| + sum_f
+|w_f (x_f - bg_f)| < 700, so no partial product leaves the normal floats;
+any other table or background takes the table mean, which saturates to
+exact 0 and 1. KNN takes the default.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,6 +107,15 @@ def mask_table(masks, n_features):
     return table.reshape(-1, n_features)
 
 
+@lru_cache(maxsize=8)
+def _bit_table(n_features):
+    """All 2^M subset masks as a boolean table, row index = subset bitmask."""
+    codes = np.arange(1 << n_features, dtype=np.int64)
+    table = ((codes[:, None] >> np.arange(n_features)) & 1).astype(bool)
+    table.setflags(write=False)
+    return table
+
+
 def _finite_parameter(name, values):
     """A model file's learned `values` as floats; a ConfigError names the field
     if an entry is not finite (a JSON null reads as NaN)."""
@@ -107,9 +132,9 @@ def unwrap_single(values, single):
 
 class ProbabilityClassifier:
     """The model boundary: checks every input once, then hands the kind's
-    ``_proba`` a finite 2-D matrix and its ``_masked_proba`` a finite instance,
-    a non-empty background and a non-empty bool mask table. Hard labels derive
-    from ``predict_proba``."""
+    ``_proba`` a finite 2-D matrix and its ``_masked_proba`` and ``_masked_mean``
+    a finite instance, a non-empty background and a non-empty bool mask table.
+    Hard labels derive from ``predict_proba``."""
 
     def predict_proba(self, X):
         A, single = prepare_features(X, self.n_features)
@@ -122,15 +147,36 @@ class ProbabilityClassifier:
         return (np.asarray(proba) >= 0.5).astype(int)
 
     def masked_proba(self, x, background, masks):
+        x, bg, table = self._masked_inputs("masked_proba", x, background, masks)
+        if not (len(table) and len(bg)):
+            return np.empty((len(table), len(bg)))
+        return self._masked_proba(x, bg, table)
+
+    def masked_mean(self, x, background, masks):
+        x, bg, table = self._masked_inputs("masked_mean", x, background, masks)
+        if not len(bg):
+            raise DatasetError("masked_mean averages over background rows, got none")
+        if not len(table):
+            return np.empty(0)
+        return self._masked_mean(x, bg, table)
+
+    def _masked_inputs(self, method, x, background, masks):
+        """The checked (instance row, background matrix, bool mask table) of `method`."""
         n = self.n_features
         x, _ = prepare_features(x, n)
         if len(x) != 1:
-            raise DatasetError(f"masked_proba takes one instance, got {len(x)} rows")
+            raise DatasetError(f"{method} takes one instance, got {len(x)} rows")
         bg, _ = prepare_features(background, n)
-        table = mask_table(masks, n)
-        if not (len(table) and len(bg)):
-            return np.empty((len(table), len(bg)))
-        return self._masked_proba(x[0], bg, table)
+        return x[0], bg, mask_table(masks, n)
+
+    def _masked_mean(self, x, bg, table):
+        return self._masked_proba(x, bg, table).mean(axis=1)
+
+
+# the lattice product of `LinearClassifier._masked_mean` runs only while every
+# |exp argument| stays below this: exp(+-700) and all its partial products are
+# normal floats (exp overflows past 709.78, and falls below the normals past -708.4)
+_LATTICE_LOGIT_BOUND = 700.0
 
 
 def _fold_to_raw(weights, offset, scaler):
@@ -184,3 +230,30 @@ class LinearClassifier(ProbabilityClassifier):
         z = table.astype(float) @ (self.weights * (x - bg)).T
         z += bg @ self.weights + self._offset
         return _sigmoid_in_place(z)
+
+    def _masked_mean(self, x, bg, table):
+        """Over the full lattice in code order, exp(-logit) is a product: the
+        background logit's factor times one factor exp(-d_f) per masked-in feature,
+        d_f = w_f (x_f - bg_f). Rows [2^f, 2^(f+1)) are rows [0, 2^f) times feature
+        f's factor, so the table costs one multiply per cell instead of one exp. While
+        |logit| + sum_f |d_f| < 700 for every background row, every partial product is
+        a normal float, and v(S) agrees with the mean of `_masked_proba` to within a
+        few ulps; row 0 is exp(-logit) itself, so v(empty) keeps its bits. Any other
+        table, or a background row that could reach the sigmoid's saturation, takes
+        the mean of `_masked_proba`."""
+        logit = bg @ self.weights + self._offset
+        shift = self.weights * (x - bg)
+        m = len(x)
+        if (
+            len(table) != 1 << m
+            or np.max(np.abs(logit) + np.abs(shift).sum(axis=1)) >= _LATTICE_LOGIT_BOUND
+            or not np.array_equal(table, _bit_table(m))
+        ):
+            return super()._masked_mean(x, bg, table)
+        e = np.empty((len(table), len(bg)))
+        np.exp(-logit, out=e[0])
+        factors = np.exp(-shift.T)
+        for f in range(m):
+            np.multiply(e[: 1 << f], factors[f], out=e[1 << f : 2 << f])
+        e += 1.0
+        return np.divide(1.0, e, out=e).mean(axis=1)

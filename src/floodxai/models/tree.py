@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -199,17 +200,27 @@ class TreeModel(ProbabilityClassifier):
         self._assign(node.right, A, indices[~mask], out)
 
     def _masked_proba(self, x, bg, table):
-        """One descent over the (mask pattern x background row) grid. A hybrid's leaf
-        depends only on its mask bits on the features the tree splits on, so the masks
-        are reduced to their distinct patterns there. At each split a pattern takes the
-        instance's branch where its bit is set and the row's elsewhere; the reach sets
-        are ANDed down the tree, so each hybrid gets the leaf `predict_proba` gives it."""
-        key, axis = table[:, sorted({node.feature for node in self.internal_nodes()})], 0
-        if key.shape[1] <= 62:
-            # one exact integer per mask: unique rows (axis=0) cost many times more
-            key, axis = key @ (1 << np.arange(key.shape[1], dtype=np.int64)), None
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True, axis=axis)
-        patterns = table[first]
+        out, inverse = self._pattern_descent(x, bg, table)
+        # row-major like the hybrids' predictions, so a mean over background rows
+        # sums in the same order and the coalition values stay bit-identical
+        return out[inverse]
+
+    def _masked_mean(self, x, bg, table):
+        """Each distinct pattern's row of the descent averaged once: the same row
+        values under the same reduction as `_masked_proba`'s rows, so the same bits."""
+        out, inverse = self._pattern_descent(x, bg, table)
+        return out.mean(axis=1)[inverse]
+
+    def _pattern_descent(self, x, bg, table):
+        """One descent over the (mask pattern x background row) grid: the
+        (patterns x background) leaf fractions and each mask's pattern index. A
+        hybrid's leaf depends only on its mask bits on the features the tree splits
+        on, so the masks are reduced to their distinct patterns there. At each split a
+        pattern takes the instance's branch where its bit is set and the row's
+        elsewhere; the reach sets are ANDed down the tree, so each hybrid gets the
+        leaf `predict_proba` gives it."""
+        features = tuple(sorted({node.feature for node in self.internal_nodes()}))
+        patterns, inverse = _pattern_map(table.tobytes(), table.shape, features)
         out = np.empty((len(patterns), bg.shape[0]))
         stack = [(self.root, np.ones(out.shape, dtype=bool))]
         while stack:
@@ -220,9 +231,7 @@ class TreeModel(ProbabilityClassifier):
             f, t = node.feature, node.threshold
             left = np.where(patterns[:, f, None], x[f] <= t, bg[None, :, f] <= t)
             stack += [(node.left, reach & left), (node.right, reach & ~left)]
-        # row-major like the hybrids' predictions, so a mean over background rows
-        # sums in the same order and the coalition values stay bit-identical
-        return out[inverse.reshape(-1)]
+        return out, inverse
 
     def internal_nodes(self):
         stack, found = [self.root], []
@@ -232,6 +241,23 @@ class TreeModel(ProbabilityClassifier):
                 found.append(node)
                 stack.extend((node.left, node.right))
         return found
+
+
+@lru_cache(maxsize=8)
+def _pattern_map(table, shape, features):
+    """The distinct patterns of a mask table (its bytes and shape) on the split
+    `features`, as full mask rows, and each row's pattern index; both read-only,
+    as the map is shared by every call on an equal table."""
+    masks = np.frombuffer(table, dtype=bool).reshape(shape)
+    key, axis = masks[:, list(features)], 0
+    if key.shape[1] <= 62:
+        # one exact integer per mask: unique rows (axis=0) cost many times more
+        key, axis = key @ (1 << np.arange(key.shape[1], dtype=np.int64)), None
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True, axis=axis)
+    patterns, inverse = masks[first], inverse.reshape(-1)
+    patterns.setflags(write=False)
+    inverse.setflags(write=False)
+    return patterns, inverse
 
 
 def train_tree(train, config=None):

@@ -860,3 +860,35 @@ def test_usage_error_writes_nothing(
     assert code == 2, err
     assert err.startswith("error:")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("split", "0.7"), ("split", [0.7]), ("split", None), ("split", 1.5), ("seed", "42")],
+    ids=["split-str", "split-list", "split-null", "split-1.5", "seed-str"],
+)
+@pytest.mark.parametrize("csv", ["real", "missing"])
+@pytest.mark.parametrize("command", ["evaluate", "explain"])
+def test_recorded_split_checked_before_the_data_is_read(
+    run_cli, data_path, model_dir, tmp_path, command, csv, key, value
+):
+    # used to exit 3 with a bare TypeError (a string or list), or, for a null,
+    # exit 0 under evaluate (read as unrecorded) but 3 under explain
+    payload = json.loads((model_dir / "tree.json").read_text())
+    payload["metadata"][key] = value
+    model = tmp_path / "tree.json"
+    model.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    out.mkdir()
+    data = data_path if csv == "real" else tmp_path / "missing.csv"
+    argv = {
+        "evaluate": ["evaluate", "--json", out / "report.json"],
+        "explain": ["explain", "--mode", "local-shap", "--year", "1947",
+                    "--json", out / "report.json", "--svg", out / "chart.svg"],
+    }[command]
+    code, _, err = run_cli([*argv, "--model", model, "--data", data])
+    assert code == 2, err
+    field = "train_fraction" if key == "split" else "seed"
+    assert err.startswith(f"error: model file {model} records a bad split: {field}"), err
+    assert "missing.csv" not in err
+    assert list(out.iterdir()) == []

@@ -1,6 +1,7 @@
 """Ingestion, imputation, splitting, and scaling behavior."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -188,6 +189,19 @@ class TestSplit:
         # used to raise a bare TypeError from SeedSequence, or (True) to seed with 1
         with pytest.raises(ConfigError, match=f"seed must be an integer, got {seed!r}"):
             split(dataset, 0.7, seed)
+
+    @pytest.mark.parametrize(
+        "fraction", ["0.5", [0.5], None, True], ids=["str", "list", "none", "bool"]
+    )
+    def test_non_number_train_fraction_is_a_config_error(self, dataset, fraction):
+        # used to raise a bare TypeError from the range comparison (a bool read as 1)
+        message = f"train_fraction must be a number, got {fraction!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            split(dataset, fraction, 0)
+
+    def test_numpy_float_train_fraction_accepted(self, dataset):
+        years = split(dataset, 0.7, 3).train.years()
+        assert split(dataset, np.float64(0.7), 3).train.years() == years
 
     def test_numpy_integer_seed_accepted(self, dataset):
         years = split(dataset, 0.7, 3).train.years()

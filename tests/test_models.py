@@ -33,6 +33,7 @@ from floodxai import (
 )
 from floodxai.explain.shapley import _bit_table, _sample_coalitions
 from floodxai.models import KINDS, ProbabilityClassifier, model_from_dict, model_to_dict
+from floodxai.models import tree as tree_module
 from floodxai.models.base import sigmoid
 
 RNG = np.random.default_rng(7)
@@ -653,3 +654,114 @@ def test_linear_masked_proba_saturates_exactly_without_warnings(klass):
         warnings.simplefilter("error")
         got = model.masked_proba(x, bg, masks)
     np.testing.assert_array_equal(got, [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("kind, name", [(k, n) for k in MODEL_KINDS for n in MASKED_INPUTS])
+def test_masked_mean_boundary_contract(all_models, parts, kind, name):
+    # masked_mean checks its inputs as masked_proba does, and gives v(S) per mask;
+    # v(S) is a mean over background rows, so an empty background has none
+    assert KINDS[kind].model_class.masked_mean is ProbabilityClassifier.masked_mean
+    X, bg = parts.test.features()[:4], parts.train.features()[:3]
+    build, expected = MASKED_INPUTS[name]
+    args = build(X, bg)
+    model = all_models[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if expected is DatasetError or expected[1] == 0:
+            with pytest.raises(DatasetError):
+                model.masked_mean(*args)
+            return
+        got = model.masked_mean(*args)
+    assert got.shape == expected[:1]
+    np.testing.assert_array_equal(got, model.masked_proba(*args).mean(axis=1))
+
+
+def _tree_tables():
+    table = _bit_table(12)
+    rng = np.random.default_rng(11)
+    shuffled = table[rng.integers(0, len(table), size=3000)]  # shuffled, with duplicates
+    sampled = np.vstack([table[0], _sample_coalitions(12, 200, 3)[0], table[-1]])
+    return {"exhaustive": table, "shuffled": shuffled, "sampled": sampled}
+
+
+def test_tree_masked_mean_equals_the_table_mean(all_models, dataset, parts):
+    # each distinct pattern's row is averaged once, under the reduction the
+    # expanded table's rows get, so the bits are equal
+    model = all_models["tree"]
+    train = parts.train.features()
+    for bg in (train, train[10:15], train[:1]):
+        for x in dataset.features()[[0, 45, 120]]:
+            for name, masks in _tree_tables().items():
+                np.testing.assert_array_equal(
+                    model.masked_mean(x, bg, masks),
+                    model.masked_proba(x, bg, masks).mean(axis=1),
+                    err_msg=f"{name} {len(bg)}-row background",
+                )
+
+
+def test_tree_pattern_map_reused_and_keyed_by_content(all_models, parts):
+    model = all_models["tree"]
+    x, bg = parts.test.features()[1], parts.train.features()[:5]
+    table = _tree_tables()["shuffled"]
+    first = model.masked_mean(x, bg, table)
+    hits = tree_module._pattern_map.cache_info().hits
+    np.testing.assert_array_equal(model.masked_mean(x, bg, table.copy()), first)
+    assert tree_module._pattern_map.cache_info().hits == hits + 1
+    # rows changed in place: a table of the same shape must not reuse the cached map
+    edited = table.copy()
+    edited[::7] = ~edited[::7]
+    misses = tree_module._pattern_map.cache_info().misses
+    got = model.masked_mean(x, bg, edited)
+    assert tree_module._pattern_map.cache_info().misses == misses + 1
+    hybrid = np.where(edited[:, None, :], x, bg[None, :, :]).reshape(-1, 12)
+    np.testing.assert_array_equal(
+        got, model.predict_proba(hybrid).reshape(len(edited), len(bg)).mean(axis=1)
+    )
+
+
+@pytest.mark.parametrize("kind", ["logistic", "svm"])
+def test_linear_masked_mean_on_the_lattice_within_1e_12(all_models, dataset, parts, kind):
+    # the lattice product is not the table's exp per cell, so only close: the
+    # largest gap over these 484 calls read 5.6e-16 (logistic) and 4.4e-16 (svm)
+    model = all_models[kind]
+    train = parts.train.features()
+    backgrounds = [train, train.mean(axis=0, keepdims=True), train[3:8], train[:1]]
+    table = _bit_table(12)
+    differ = 0
+    for x in dataset.features():
+        for bg in backgrounds:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = model.masked_mean(x, bg, table)
+            want = model.masked_proba(x, bg, table).mean(axis=1)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert got[0] == want[0]  # v(empty) is exp(-logit) itself: its bits stay
+            differ += not np.array_equal(got, want)
+    assert differ  # the product path ran: it moves the last bits somewhere
+
+
+@pytest.mark.parametrize("klass", [LogisticModel, SvmModel])
+def test_linear_masked_mean_saturates_exactly_without_warnings(klass):
+    # the saturation fixture's four masks are the full lattice of two features in
+    # code order, but its logits pass +-700, so the table's exact 0/1 are averaged
+    model = klass(np.array([1.0, 1.0]), 0.0, None)
+    x = np.array([1000.0, 0.0])
+    bg = np.array([[-1000.0, 289.0], [-1711.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.masked_mean(x, bg, _bit_table(2))
+    np.testing.assert_array_equal(got, [0.0, 1.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("kind", ["logistic", "svm"])
+def test_linear_masked_mean_off_the_lattice_is_the_table_mean(all_models, parts, kind):
+    # a row-permuted lattice, a lattice of the wrong width and a sampled table take
+    # the mean of masked_proba, bit for bit
+    model = all_models[kind]
+    x, bg = parts.test.features()[4], parts.train.features()
+    lattice = _bit_table(12)
+    permuted = lattice[np.random.default_rng(2).permutation(len(lattice))]
+    for masks in (permuted, lattice[:-1], _sample_coalitions(12, 512, 7)[0]):
+        np.testing.assert_array_equal(
+            model.masked_mean(x, bg, masks), model.masked_proba(x, bg, masks).mean(axis=1)
+        )

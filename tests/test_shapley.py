@@ -32,6 +32,7 @@ from floodxai import (
     perturb,
 )
 from floodxai.explain import shapley
+from floodxai.models import ProbabilityClassifier
 from floodxai.models import knn as knn_module
 from floodxai.explain.shapley import (
     _CHUNK_ROWS,
@@ -611,6 +612,63 @@ def test_chunking_leaves_coalition_values_unchanged(all_models, parts, kind, mon
     monkeypatch.setattr(shapley, "_CHUNK_ROWS", 7 * 100)
     np.testing.assert_array_equal(_masked_values(_masked_fn(model), x, bg, table), whole)
     np.testing.assert_array_equal(_coalition_values(model.predict_proba, x, bg, table), oracle)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "svm", "tree", "knn"])
+def test_every_kind_gives_coalition_values_by_masked_mean(all_models, kind):
+    mean = shapley._mean_fn(all_models[kind])
+    assert mean.func is ProbabilityClassifier.masked_mean
+    assert mean.args == (all_models[kind],)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "svm", "tree"])
+def test_chunking_leaves_masked_mean_values_unchanged(all_models, parts, kind, monkeypatch):
+    # chunks of 300 masks are no longer the lattice: the linear models leave the
+    # product path for the table mean, within 1e-12; the tree's bits stay
+    model = all_models[kind]
+    x = parts.test.features()[2]
+    bg = parts.train.features()[:7]
+    table = _bit_table(12)
+    mean = shapley._mean_fn(model)
+    whole = shapley._mean_values(mean, x, bg, table)
+    monkeypatch.setattr(shapley, "_CHUNK_VALUES", 7 * 300)
+    chunked = shapley._mean_values(mean, x, bg, table)
+    if kind == "tree":
+        np.testing.assert_array_equal(chunked, whole)
+    else:
+        np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(chunked, _masked_values(model.masked_proba, x, bg, table))
+
+
+class _MaskedProbaOnly:
+    """Defines predict_proba and masked_proba, but no masked_mean; counts masked calls."""
+
+    def __init__(self, model):
+        self.model, self.calls = model, 0
+
+    def predict_proba(self, X):
+        return self.model.predict_proba(X)
+
+    def masked_proba(self, x, background, masks):
+        self.calls += 1
+        return self.model.masked_proba(x, background, masks)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "tree"])
+def test_masked_proba_without_masked_mean_still_used(all_models, parts, kind):
+    model = all_models[kind]
+    wrapped = _MaskedProbaOnly(model)
+    x = parts.test.features()[6]
+    for samples in (EXHAUSTIVE, 200):
+        config = ShapConfig(background=parts.train.features(), n_coalition_samples=samples)
+        calls = wrapped.calls
+        got = kernel_shap(wrapped, x, config).phi
+        assert wrapped.calls == calls + 1
+        want = kernel_shap(model, x, config).phi
+        if kind == "tree":
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def _reference_knn_proba(model, X):
