@@ -348,8 +348,9 @@ def _load_model(path):
     its default), so a malformed one exits 2 before any data is read."""
     payload = read_model_file(path)
     model, metadata = model_from_dict(payload), payload.get("metadata", {})
+    recorded = {key: metadata.get(key, default) for key, default in _SPLIT_DEFAULTS.items()}
     try:
-        _check_split(*(metadata.get(key, _SPLIT_DEFAULTS[key]) for key in ("split", "seed")))
+        _check_split(recorded["split"], recorded["seed"])
     except ConfigError as exc:
         raise ConfigError(f"model file {path} records a bad split: {exc}") from None
     return model, metadata

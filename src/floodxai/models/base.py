@@ -174,8 +174,9 @@ class ProbabilityClassifier:
 
 
 # the lattice product of `LinearClassifier._masked_mean` runs only while every
-# |exp argument| stays below this: exp(+-700) and all its partial products are
-# normal floats (exp overflows past 709.78, and falls below the normals past -708.4)
+# background row's |logit| + sum_f |d_f| stays below this, so each partial product
+# is exp of an argument within +-700: a normal float (exp overflows past 709.78,
+# and its results leave the normal floats below -708.4)
 _LATTICE_LOGIT_BOUND = 700.0
 
 

@@ -14,6 +14,8 @@ import floodxai
 from floodxai import MODEL_KINDS, load_model, strip_timestamps
 from floodxai.cli import main as cli_main
 
+from conftest import REPO_ROOT
+
 
 def json_tail(stdout):
     """Parse the canonical JSON that `--json -` appends after the text output."""
@@ -870,11 +872,11 @@ def test_usage_error_writes_nothing(
 @pytest.mark.parametrize("csv", ["real", "missing"])
 @pytest.mark.parametrize("command", ["evaluate", "explain"])
 def test_recorded_split_checked_before_the_data_is_read(
-    run_cli, data_path, model_dir, tmp_path, command, csv, key, value
+    run_cli, data_path, tmp_path, command, csv, key, value
 ):
     # used to exit 3 with a bare TypeError (a string or list), or, for a null,
     # exit 0 under evaluate (read as unrecorded) but 3 under explain
-    payload = json.loads((model_dir / "tree.json").read_text())
+    payload = json.loads((REPO_ROOT / "tests" / "golden" / "models" / "tree.json").read_text())
     payload["metadata"][key] = value
     model = tmp_path / "tree.json"
     model.write_text(json.dumps(payload))

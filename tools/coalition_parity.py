@@ -2,7 +2,7 @@
 """Record, or compare, the coalition values of the stored models on one fixed set.
 
 The set is every dataset row (121) × four backgrounds (the trainset, its
-mean, its first 5 rows, its first row) × five mask tables: the exhaustive
+mean, its first 5 rows, its first row) × ten mask tables: the exhaustive
 table and the sampled tables of budgets 26, 200 and 512 at seeds 0, 3 and 7,
 each between the empty and the full coalition as Kernel SHAP builds it.
 That is 4,840 calls per model kind, on the models stored in
@@ -20,17 +20,17 @@ Per kind and call the script records
 ``--out FILE`` writes them to an ``.npz``. ``--against FILE`` compares them
 with a file written by the same script, on another commit for instance, and
 prints per kind and quantity whether all arrays are equal and the largest
-absolute difference. Run the script with the checkout's own ``src/`` (it
-imports the package from there), so a copy of another commit records that
-commit's values.
+absolute difference; it exits 1 if any array differs. The script imports
+the package from the ``src/`` beside it, so a copy of it placed in another
+commit's checkout records that commit's values.
 
 Usage:
     python3 tools/coalition_parity.py --out parent.npz
     python3 tools/coalition_parity.py --out change.npz --against parent.npz
     python3 tools/coalition_parity.py --kinds tree logistic --against parent.npz
 
-KNN takes about a minute and a half on two CPUs; the other kinds take
-seconds.
+On two CPUs KNN takes about two minutes, and the other three kinds about
+one together.
 """
 
 from __future__ import annotations
@@ -65,13 +65,13 @@ def engine_values(model, x, bg, table):
 
 
 def calls(m):
-    """(name, table, n_coalition_samples, seed) of the five tables, in order."""
-    yield "exhaustive", shapley._bit_table(m), EXHAUSTIVE, 0
+    """(table, n_coalition_samples, seed) of the ten tables, in order."""
+    yield shapley._bit_table(m), EXHAUSTIVE, 0
     for budget in BUDGETS:
         for seed in SEEDS:
             interior, _ = shapley._sample_coalitions(m, budget, seed)
             table = np.vstack([np.zeros(m, dtype=bool), interior, np.ones(m, dtype=bool)])
-            yield f"budget {budget} seed {seed}", table, budget, seed
+            yield table, budget, seed
 
 
 def record(kind):
@@ -86,7 +86,7 @@ def record(kind):
     levels, level_counts, index, shapes = [], [], [], []
     for x in dataset.features():
         for bg in backgrounds:
-            for _, table, budget, seed in calls(m):
+            for table, budget, seed in calls(m):
                 values.append(engine_values(model, x, bg, table))
                 config = ShapConfig(background=bg, n_coalition_samples=budget, seed=seed)
                 explanation = kernel_shap(model, x, config)
@@ -111,8 +111,9 @@ def record(kind):
         found["table_levels"] = np.concatenate(levels)
         found["table_level_counts"] = np.array(level_counts)
         found["table_shapes"] = np.array(shapes)
-        # a uint16 index holds up to 65,536 distinct cells of one call
-        assert max(level_counts) <= 1 << 16
+        if max(level_counts) > 1 << 16:
+            raise SystemExit(f"{max(level_counts)} distinct {kind} cells in one call "
+                             f"do not fit uint16 indices")
         index = np.concatenate(index)
         found["table_index"] = index.astype(np.uint8) if max(level_counts) <= 256 else index
     return {f"{kind}/{name}": array for name, array in found.items()}
