@@ -16,7 +16,6 @@ from .dataset import (
     Scaler,
     SplitDataset,
     apply_scaler,
-    decode_flood_label,
     encode_flood_label,
     fit_scaler,
     impute_missing,

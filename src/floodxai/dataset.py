@@ -51,11 +51,6 @@ def encode_flood_label(raw, row=None):
     return int(value != 0.0)
 
 
-def decode_flood_label(value):
-    """Inverse of :func:`encode_flood_label` for the canonical text labels."""
-    return "YES" if value else "NO"
-
-
 @dataclass(frozen=True)
 class RainfallRecord:
     """One year of observations: twelve monthly depths plus the flood label.

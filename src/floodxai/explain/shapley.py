@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -36,6 +38,8 @@ EXHAUSTIVE = "exhaustive"
 MAX_EXACT_FEATURES = 20
 _CHUNK_ROWS = 65536  # hybrid rows built and scored at a time
 _CHUNK_VALUES = 1 << 20  # probabilities (masks x background rows) asked of one masked call
+_CHUNK_WORDS = 1 << 13  # raw generator words turned into coalitions at a time
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def _predict_fn(model):
@@ -364,35 +368,158 @@ def _size_cdf(m):
     return sizes.tolist(), cdf
 
 
+def _interleave(a, b):
+    """a[0], b[0], a[1], b[1], ... as one array."""
+    out = np.empty((2 * len(a),) + a.shape[1:], dtype=a.dtype)
+    out[0::2], out[1::2] = a, b
+    return out
+
+
+def _lay_out(raw, held, draws, sizes, cdf, extra):
+    """Place up to `draws` paired draws on the generator words `raw`.
+
+    A draw takes one whole word for its size, then 2s - 1 32-bit reads plus
+    `extra[k]` rejected ones. A read takes the half word held over from the
+    last read if there is one (`held` at the start), else the low half of the
+    next word, holding its high half. Returns the sizes and size-word
+    positions of the draws whose words all lie in `raw`, the number of words
+    they use, and whether a half word is held after them.
+    """
+    drawn, size_words, used = [], [], 0
+    while len(drawn) < draws and used < len(raw):
+        s = sizes[bisect_right(cdf, (raw.item(used) >> 11) * 2.0**-53)]
+        n = 2 * s - 1 + extra.get(len(drawn), 0)
+        after = used + 1 + (n - held + 1) // 2
+        if after > len(raw):
+            break
+        drawn.append(s)
+        size_words.append(used)
+        used, held = after, (n - held) & 1
+    return drawn, size_words, used, held
+
+
+def _read_bounds(m, s):
+    """The bound b of each accepted read of draws of sizes `s`, and whether it is a pick.
+
+    A draw of size s reads bounds m-s, ..., m-1 for Floyd's picks, then
+    s-1, ..., 1 for `Generator.choice`'s shuffle of them, whose values go unused.
+    """
+    per = 2 * s - 1
+    start = np.cumsum(per) - per
+    lengths = _interleave(s, s - 1)
+    offset = np.repeat(_interleave(m - s - start, start + per), lengths)
+    slope = np.repeat(np.resize(np.array([1, -1]), len(lengths)), lengths)
+    return (offset + slope * np.arange(len(slope))).astype(np.uint64), slope > 0
+
+
+def _first_rejected(product, bound):
+    """The first read whose product u * (b + 1) Lemire's method rejects, or None: its low
+    32 bits fall below (2^32 - 1 - b) mod (b + 1), which only a low part <= b can."""
+    low = product & _LOW32
+    near = np.flatnonzero(low <= bound)
+    bad = near[low[near] < (_LOW32 - bound[near]) % (bound[near] + 1)]
+    return int(bad[0]) if len(bad) else None
+
+
+def _floyd_masks(m, s, value, bound):
+    """Members of each draw as a (draws, m) mask: Floyd's step of bound b picks its value
+    v, or b itself if v is already a member.
+
+    v is already a member if it equals an earlier value of the draw, or if it
+    is the bound b' < b of an earlier step that picked b' itself: a chain back
+    through earlier steps, followed here by pointer doubling.
+    """
+    value, bound = value.astype(np.int64), bound.astype(np.int64)
+    cell = np.repeat(np.arange(0, len(s) * m, m), s) + value
+    shift = len(cell).bit_length()
+    key = np.sort((cell << shift) | np.arange(len(cell)))
+    taken = np.zeros(len(cell), dtype=bool)
+    taken[key[1:] & ((1 << shift) - 1)] = (key[1:] >> shift) == (key[:-1] >> shift)
+    gap = bound - value
+    chained = np.flatnonzero((value >= np.repeat(m - s, s)) & (gap > 0))
+    link = np.arange(len(cell))
+    link[chained] -= gap[chained]
+    while len(chained):
+        via = link[chained]
+        taken[chained] |= taken[via]
+        link[chained] = link[via]
+        chained = chained[~taken[chained] & (link[chained] != via)]
+    mask = np.zeros((len(s), m), dtype=bool)
+    mask.ravel()[cell] = True
+    mask.ravel()[(cell + gap)[taken]] = True
+    return mask
+
+
 def _sample_coalitions(m, budget, seed):
     """Draw coalition masks with sizes proportional to kernel weight mass.
 
     Each draw is paired with its complement (same weight mass, opposite
-    membership) and duplicates are merged, their counts becoming the
-    regression weights. Deterministic for a given seed. A size takes one
-    double from the stream and looks it up in `_size_cdf`, as
-    `Generator.choice(sizes, p=probs)` does, so the stream is the same.
-    Masks are merged by their bit codes (Python ints: any width).
+    membership) and duplicates are merged in first-seen order over code 0,
+    its complement, code 1, ..., cut at `budget`; their counts become the
+    regression weights. Deterministic for a given seed.
+
+    The draws are numpy's own: a size as `Generator.choice(sizes, p=probs)`
+    draws it, then the members as `Generator.choice(m, size=s, replace=False)`
+    draws them. They are replayed from the raw 64-bit PCG64 words, which
+    numpy keeps fixed across versions, instead of calling either method:
+
+    * a size takes one whole word w and is `sizes[bisect_right(cdf, u)]`
+      with u = (w >> 11) * 2^-53 and the CDF of `_size_cdf`;
+    * members take 32-bit reads: the low half of the next word, whose high
+      half is held for the following read (a size word in between leaves
+      it held). A read u draws from [0, b] by Lemire's method: with
+      p = u * (b + 1), it is rejected, and the next read taken, if
+      p mod 2^32 < (2^32 - 1 - b) mod (b + 1); otherwise it draws p >> 32;
+    * a draw of size s makes Floyd's s picks with b = m-s, ..., m-1 (see
+      `_floyd_masks`), then s - 1 reads with b = s-1, ..., 1, `choice`'s
+      shuffle of the picks, whose values go unused.
+
+    Without a rejection, draw k takes 1 + s - (k mod 2) words, so one pass
+    over the sizes places every draw and the rest is array work. A rejected
+    read shifts the draws after it by a half word: they are placed again
+    past it. Draws go a chunk of `_CHUNK_WORDS` words at a time, so memory
+    beyond the distinct masks kept does not grow with the budget. Above
+    10,000 features `choice` draws sizes over M / 50 by a partial shuffle
+    instead of Floyd's picks; this sampler keeps Floyd's picks there.
     """
-    rng = np.random.default_rng(seed)
-    counts = {}
-    drawn = 0
+    bitgen = np.random.default_rng(seed).bit_generator
+    counts = Counter()
     if budget > 0:
         sizes, cdf = _size_cdf(m)
-        full = (1 << m) - 1
-    while drawn < budget:
-        s = sizes[cdf.searchsorted(rng.random(), side="right")]
-        code = sum(1 << j for j in rng.choice(m, size=s, replace=False).tolist())
-        for key in (code, full ^ code):
-            if drawn >= budget:
+        cdf = cdf.tolist()
+    left = budget  # coalitions still to draw, two per paired draw
+    raw = held = np.empty(0, dtype=np.uint64)
+    while left > 0:
+        draws = (left + 1) // 2
+        raw = np.concatenate([raw, bitgen.random_raw(min(draws * m, _CHUNK_WORDS))])
+        rejected, extra = [], {}
+        while True:  # lay the draws out again past each rejected read
+            drawn, size_words, used, h = _lay_out(raw, len(held), draws, sizes, cdf, extra)
+            if not drawn:
                 break
-            counts[key] = counts.get(key, 0) + 1
-            drawn += 1
-    width = (m + 7) // 8
-    packed = b"".join(code.to_bytes(width, "little") for code in counts)
-    bits = np.frombuffer(packed, dtype=np.uint8).reshape(len(counts), width)
-    masks = np.unpackbits(bits, axis=1, count=m, bitorder="little").astype(bool)
-    return masks, np.array(list(counts.values()), dtype=float)
+            words = np.delete(raw[:used], size_words)
+            halves = np.concatenate([held, _interleave(words & _LOW32, words >> 32)])
+            reads = halves[: len(halves) - h]
+            if rejected:
+                reads = np.delete(reads, [r for r in rejected if r < len(reads)])
+            s = np.array(drawn)
+            bound, pick = _read_bounds(m, s)
+            product = reads * (bound + 1)
+            first = _first_rejected(product, bound)
+            if first is None:
+                break
+            k = int(np.cumsum(2 * s - 1).searchsorted(first, side="right"))
+            extra[k] = extra.get(k, 0) + 1
+            rejected.append(first + len(rejected))  # every earlier rejection lies before it
+        if not drawn:
+            continue
+        mask = _floyd_masks(m, s, product[pick] >> 32, bound[pick])
+        pairs = _interleave(mask, ~mask)[:left]
+        counts.update(pairs.view(np.dtype((np.void, m))).ravel().tolist())
+        left -= len(pairs)
+        raw, held = raw[used:], halves[len(halves) - h :]
+    masks = np.frombuffer(bytearray().join(counts), dtype=bool).reshape(len(counts), m)
+    return masks, np.fromiter(counts.values(), dtype=float, count=len(counts))
 
 
 def _attribute(mean, x, config, offset=0):

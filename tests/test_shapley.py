@@ -5,6 +5,7 @@ the same attributions; several tests assert their agreement on top of the
 closed forms available for constant and linear models.
 """
 
+import hashlib
 import os
 import sys
 import threading
@@ -1030,3 +1031,59 @@ def test_size_draw_equals_generator_choice(m):
     chosen = [int(theirs.choice(np.arange(1, m), p=probs)) for _ in range(1500)]
     assert drawn == chosen
     assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("m, seed", [(1000, 4), (2000, 4)])
+def test_sampled_coalitions_equal_the_choice_sampler_through_rejections(m, seed):
+    # the smallest budget at widths where Lemire's bounded draw rejects a word:
+    # at M = 1,000 seeds 4, 26, 29 and 34 of 0-39 reject one word, and at
+    # M = 2,000 seed 4 rejects two, so the draws after them shift by a half word
+    masks, counts = shapley._sample_coalitions(m, 2 * m + 2, seed)
+    want_masks, want_counts = _sample_coalitions_oracle(m, 2 * m + 2, seed)
+    np.testing.assert_array_equal(masks, want_masks)
+    np.testing.assert_array_equal(counts, want_counts)
+
+
+def test_bounded_draw_rejects_exactly_the_biased_words():
+    # u draws (u * (b + 1)) >> 32 from [0, b] unless the low half of the product
+    # is below (2^32 - 1 - b) mod (b + 1); for b = 11 that is 4, so of the words
+    # below, 0 and 2^30 (low half 0) are rejected and 715827883 (low half 4) is not
+    assert (2**32 - 12) % 12 == 4
+    reads = np.array([715827883, 2**30, 0], dtype=np.uint64)
+    bound = np.full(3, 11, dtype=np.uint64)
+    product = reads * (bound + 1)
+    assert product[0] & 0xFFFFFFFF == 4 and product[0] >> 32 == 2
+    assert shapley._first_rejected(product, bound) == 1
+    assert shapley._first_rejected(product[[0, 2]], bound[:2]) == 1
+    assert shapley._first_rejected(product[:1], bound[:1]) is None
+    # for b = 1 the threshold is 0: no word is rejected, word 0 draws 0
+    one = np.ones(3, dtype=np.uint64)
+    assert shapley._first_rejected(np.zeros(3, dtype=np.uint64), one) is None
+
+
+def test_sampler_memory_does_not_grow_with_the_budget():
+    # draws are made a chunk of generator words at a time; all at once, these
+    # 25,000 draws would hold about 21 MB of intermediate arrays
+    shapley._sample_coalitions(12, 1000, 0)
+    tracemalloc.start()
+    try:
+        masks, counts = shapley._sample_coalitions(12, 50_000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 50_000 and len(masks) <= 4094
+    assert peak < 5 << 20
+
+
+def test_sampled_coalitions_pinned():
+    # the masks and counts of a fixed grid, recorded from the `Generator.choice`
+    # sampler; they depend only on PCG64's raw output, which numpy keeps fixed
+    digest = hashlib.sha256()
+    for m in (2, 3, 12, 20, 70):
+        for budget in (2 * m + 2, 200, 513):
+            for seed in range(5):
+                masks, counts = shapley._sample_coalitions(m, budget, seed)
+                digest.update(np.array(masks.shape, dtype="<i8").tobytes())
+                digest.update(masks.tobytes())
+                digest.update(counts.astype("<f8").tobytes())
+    assert digest.hexdigest() == "3447e2136d49e409652a27d04213aac745b57658e72011afc564108a584ad705"

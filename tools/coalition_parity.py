@@ -17,6 +17,11 @@ Per kind and call the script records
   few leaf fractions or votes, so each call stores its distinct values and
   a uint8 (or uint16) index per cell; the tables are recovered exactly.
 
+It also records the sampler itself, which takes no model: the masks and
+counts of ``_sample_coalitions`` for M in {2, 3, 12, 20, 70}, the budgets
+2M + 2, 26, 200, 512 and 4094, and the seeds 0-9. ``--kinds`` with no kind
+records only these, in seconds.
+
 ``--out FILE`` writes them to an ``.npz``. ``--against FILE`` compares them
 with a file written by the same script, on another commit for instance, and
 prints per kind and quantity whether all arrays are equal and the largest
@@ -28,6 +33,7 @@ Usage:
     python3 tools/coalition_parity.py --out parent.npz
     python3 tools/coalition_parity.py --out change.npz --against parent.npz
     python3 tools/coalition_parity.py --kinds tree logistic --against parent.npz
+    python3 tools/coalition_parity.py --kinds --against parent.npz
 
 On two CPUs KNN takes about two minutes, and the other three kinds about
 one together.
@@ -54,6 +60,8 @@ DATA_PATH = REPO_ROOT / "data" / "kerala.csv"
 BUDGETS = (26, 200, 512)
 SEEDS = (0, 3, 7)
 TABLE_KINDS = ("tree", "knn")  # kinds whose masked_proba tables are stored
+SAMPLER_WIDTHS = (2, 3, 12, 20, 70)
+SAMPLER_SEEDS = range(10)
 
 
 def engine_values(model, x, bg, table):
@@ -119,6 +127,23 @@ def record(kind):
     return {f"{kind}/{name}": array for name, array in found.items()}
 
 
+def record_sampler():
+    """Masks, counts and distinct-mask counts of every sampler call, per width, as
+    arrays named `sampler/m<M>/<quantity>`."""
+    found = {}
+    for m in SAMPLER_WIDTHS:
+        masks, counts = [], []
+        for budget in (2 * m + 2, 26, 200, 512, 4094):
+            for seed in SAMPLER_SEEDS:
+                drawn, weights = shapley._sample_coalitions(m, budget, seed)
+                masks.append(drawn)
+                counts.append(weights)
+        found[f"sampler/m{m}/masks"] = np.concatenate(masks)
+        found[f"sampler/m{m}/counts"] = np.concatenate(counts)
+        found[f"sampler/m{m}/lengths"] = np.array([len(c) for c in counts])
+    return found
+
+
 def tables(found, kind):
     """The `masked_proba` cells of every call, flat, from their levels and index."""
     counts = found[f"{kind}/table_level_counts"]
@@ -127,9 +152,29 @@ def tables(found, kind):
     return found[f"{kind}/table_levels"][offsets + found[f"{kind}/table_index"]]
 
 
+def same_array(label, name, got, want):
+    """Print whether `got` and `want` are equal and their max |difference|."""
+    if got.shape != want.shape:
+        print(f"{label:9s} {name:7s} shape {got.shape} != {want.shape}")
+        return False
+    equal = np.array_equal(got, want)
+    gap = float(np.max(np.abs(got.astype(float) - want.astype(float)))) if got.size else 0.0
+    print(f"{label:9s} {name:7s} array_equal {str(equal):5s}  max |diff| {gap:.3g}"
+          f"  ({got.size} entries)")
+    return equal
+
+
 def compare(found, reference, kinds):
-    """Print, per kind and quantity, array_equal and the max |difference|."""
+    """Print, per kind (and sampler width) and quantity, array_equal and the max |difference|."""
     same = True
+    for m in SAMPLER_WIDTHS:
+        for name in ("masks", "counts", "lengths"):
+            key, label = f"sampler/m{m}/{name}", f"sampler{m}"
+            if key not in reference:
+                print(f"{label:9s} {name:7s} missing from the reference file")
+                same = False
+                continue
+            same &= same_array(label, name, found[key], reference[key])
     for kind in kinds:
         for name in ("values", "phi", "base", "output", "table"):
             key = f"{kind}/{name}"
@@ -143,32 +188,25 @@ def compare(found, reference, kinds):
                 continue
             else:
                 got, want = found[key], reference[key]
-            if got.shape != want.shape:
-                print(f"{kind:9s} {name:7s} shape {got.shape} != {want.shape}")
-                same = False
-                continue
-            equal = np.array_equal(got, want)
-            same &= equal
-            gap = float(np.max(np.abs(got - want))) if got.size else 0.0
-            print(f"{kind:9s} {name:7s} array_equal {str(equal):5s}  max |diff| {gap:.3g}"
-                  f"  ({got.size} entries)")
+            same &= same_array(kind, name, got, want)
     return same
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--kinds", nargs="+", choices=MODEL_KINDS, default=list(MODEL_KINDS))
+    parser.add_argument("--kinds", nargs="*", choices=MODEL_KINDS, default=list(MODEL_KINDS),
+                        help="model kinds to record (none: the sampler alone)")
     parser.add_argument("--out", type=Path, help="write the recorded arrays to this .npz")
     parser.add_argument("--against", type=Path, help="compare with an .npz this script wrote")
     args = parser.parse_args(argv)
     if args.out is None and args.against is None:
         parser.error("give --out, --against or both")
-    found = {}
+    found = record_sampler()
     for kind in args.kinds:
         found.update(record(kind))
     if args.out is not None:
         np.savez_compressed(args.out, **found)
-        print(f"wrote {len(args.kinds)} kinds to {args.out}")
+        print(f"wrote the sampler and {len(args.kinds)} kinds to {args.out}")
     if args.against is not None:
         with np.load(args.against) as reference:
             return 0 if compare(found, dict(reference), args.kinds) else 1
