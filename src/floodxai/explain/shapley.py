@@ -405,10 +405,11 @@ def _read_bounds(m, s):
     s-1, ..., 1 for `Generator.choice`'s shuffle of them, whose values go unused.
     """
     per = 2 * s - 1
-    start = np.cumsum(per) - per
+    start = np.cumsum(per) - per  # each draw's first read
     lengths = _interleave(s, s - 1)
-    offset = np.repeat(_interleave(m - s - start, start + per), lengths)
+    # along a run the bound moves one per read: up from m-s, then down from s-1
     slope = np.repeat(np.resize(np.array([1, -1]), len(lengths)), lengths)
+    offset = np.repeat(_interleave(m - s - start, start + per), lengths)
     return (offset + slope * np.arange(len(slope))).astype(np.uint64), slope > 0
 
 

@@ -1034,11 +1034,19 @@ def test_size_draw_equals_generator_choice(m):
 
 
 @pytest.mark.parametrize("m, seed", [(1000, 4), (2000, 4)])
-def test_sampled_coalitions_equal_the_choice_sampler_through_rejections(m, seed):
+def test_sampled_coalitions_equal_the_choice_sampler_through_rejections(m, seed, monkeypatch):
     # the smallest budget at widths where Lemire's bounded draw rejects a word:
     # at M = 1,000 seeds 4, 26, 29 and 34 of 0-39 reject one word, and at
     # M = 2,000 seed 4 rejects two, so the draws after them shift by a half word
+    found, first_rejected = [], shapley._first_rejected
+
+    def spy(*args):
+        found.append(first_rejected(*args))
+        return found[-1]
+
+    monkeypatch.setattr(shapley, "_first_rejected", spy)
     masks, counts = shapley._sample_coalitions(m, 2 * m + 2, seed)
+    assert any(index is not None for index in found)
     want_masks, want_counts = _sample_coalitions_oracle(m, 2 * m + 2, seed)
     np.testing.assert_array_equal(masks, want_masks)
     np.testing.assert_array_equal(counts, want_counts)
@@ -1052,7 +1060,7 @@ def test_bounded_draw_rejects_exactly_the_biased_words():
     reads = np.array([715827883, 2**30, 0], dtype=np.uint64)
     bound = np.full(3, 11, dtype=np.uint64)
     product = reads * (bound + 1)
-    assert product[0] & 0xFFFFFFFF == 4 and product[0] >> 32 == 2
+    assert int(product[0]) & 0xFFFFFFFF == 4 and int(product[0]) >> 32 == 2
     assert shapley._first_rejected(product, bound) == 1
     assert shapley._first_rejected(product[[0, 2]], bound[:2]) == 1
     assert shapley._first_rejected(product[:1], bound[:1]) is None
