@@ -480,8 +480,8 @@ def _sample_coalitions(m, budget, seed):
     read shifts the draws after it by a half word: they are placed again
     past it. Draws go a chunk of `_CHUNK_WORDS` words at a time, so memory
     beyond the distinct masks kept does not grow with the budget. Above
-    10,000 features `choice` draws sizes over M / 50 by a partial shuffle
-    instead of Floyd's picks; this sampler keeps Floyd's picks there.
+    10,000 features `choice` draws the members of coalitions larger than
+    M / 50 by a partial shuffle; this sampler keeps Floyd's picks there.
     """
     bitgen = np.random.default_rng(seed).bit_generator
     counts = Counter()
