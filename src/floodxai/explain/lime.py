@@ -378,7 +378,7 @@ def fit_local_surrogate(model, samples, config, feature_names=None, discretizer=
         )
 
     predict = _predict_fn(model)
-    y = np.asarray(predict(samples.X), dtype=float)
+    y = predict(samples.X)
 
     selected = _forward_select(
         bits, y, proximity, np.flatnonzero(varies), config.n_selected_features
@@ -393,8 +393,7 @@ def fit_local_surrogate(model, samples, config, feature_names=None, discretizer=
     ss_tot = float(proximity @ (y - y_mean) ** 2)
     fidelity = 1.0 if ss_tot < 1e-18 else 1.0 - ss_res / ss_tot
 
-    proba = predict(x[None, :])
-    proba = float(np.asarray(proba, dtype=float).ravel()[0])
+    proba = float(predict(x[None, :])[0])
     order = sorted(range(len(selected)), key=lambda i: -abs(beta[i]))
     conditions = []
     for i in order:

@@ -5,9 +5,10 @@ Two independent routes to the same quantity:
 * :func:`exact_shapley` enumerates every feature subset and applies the
   combinatorial Shapley formula directly — the brute-force oracle.
 * :func:`kernel_shap` fits an additive surrogate by weighted least squares
-  over binary coalition vectors using the Shapley kernel. In EXHAUSTIVE
-  mode it agrees with the oracle to solver precision; with a sampled
-  coalition budget it approximates it at a fraction of the cost.
+  over binary coalition vectors using the Shapley kernel. Over every
+  coalition (EXHAUSTIVE mode) that fit is the Shapley values (Lundberg & Lee
+  2017, Theorem 2), so it is taken in closed form, with no solver; with a
+  sampled coalition budget it approximates them at a fraction of the cost.
 
 The coalition value v(S) uses background substitution: features in S take
 the instance's values, the rest are replaced by background rows, and the
@@ -43,14 +44,24 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def _predict_fn(model):
-    """Accept either a probability-scoring object or a bare callable."""
-    if hasattr(model, "predict_proba"):
-        return model.predict_proba
-    if callable(model):
-        return model
-    raise ConfigError(
-        f"model must expose predict_proba or be callable, got {type(model).__name__}"
-    )
+    """Accept either a probability-scoring object or a bare callable; the function
+    returned checks that it gives one finite float per row of its 2-D input."""
+    predict = getattr(model, "predict_proba", model)
+    if not callable(predict):
+        raise ConfigError(
+            f"model must expose predict_proba or be callable, got {type(model).__name__}"
+        )
+
+    def checked(X):
+        out = np.asarray(predict(X), dtype=float)
+        if out.shape != (len(X),):
+            raise DatasetError(f"model returned shape {out.shape} for {len(X)} rows, not one each")
+        bad = np.flatnonzero(~np.isfinite(out))
+        if len(bad):
+            raise DatasetError(f"model output for row {bad[0]} is {out[bad[0]]}; it must be finite")
+        return out
+
+    return checked
 
 
 def background_fingerprint(background):
@@ -71,7 +82,7 @@ def _hybrid_fn(predict):
         for start in range(0, len(masks), step):
             chunk = masks[start : start + step]
             hybrid = np.where(chunk[:, None, :], x[None, None, :], bg[None, :, :])
-            preds = np.asarray(predict(hybrid.reshape(-1, x.shape[0])), dtype=float)
+            preds = predict(hybrid.reshape(-1, x.shape[0]))
             out[start : start + step] = preds.reshape(len(chunk), len(bg))
         return out
 
@@ -131,6 +142,8 @@ def _mean_values(mean, instance, background, masks):
     n_masks = masks.shape[0]
     bg = np.atleast_2d(_as_finite(background, "background"))
     x = _as_finite(instance, "instance")
+    if x.shape[0] == 0:
+        raise DatasetError("the instance has 0 features; Shapley values need at least one")
     if bg.shape[1] != x.shape[0]:
         raise DatasetError(
             f"background has {bg.shape[1]} features but the instance has {x.shape[0]}"
@@ -149,13 +162,12 @@ def coalition_value(model, instance, subset, background):
     """Model output with `subset` features from the instance, rest masked."""
     x = np.asarray(instance, dtype=float)
     mask = np.zeros(x.shape[0], dtype=bool)
-    idx = np.asarray(sorted(subset), dtype=int)
-    if idx.size:
-        if idx.min() < 0 or idx.max() >= x.shape[0]:
-            raise ConfigError(
-                f"subset indices must lie in [0, {x.shape[0] - 1}], got {sorted(subset)}"
-            )
-        mask[idx] = True
+    subset = list(subset)
+    # a bool is an int to Python, and a float index would be truncated
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < len(mask)
+               for i in subset):
+        raise ConfigError(f"subset indices must be integers in [0, {len(mask) - 1}], got {subset}")
+    mask[subset] = True
     return float(_coalition_values(_predict_fn(model), x, background, mask)[0])
 
 
@@ -329,15 +341,6 @@ def exact_shapley(model, instance, background, feature_names=None):
     )
 
 
-@lru_cache(maxsize=8)
-def _exhaustive_weights(m):
-    """Shapley kernel (M-1) / (C(M,|z|) |z| (M-|z|)) of each _bit_table(m)[1:-1] row."""
-    by_size = [(m - 1) / (math.comb(m, s) * s * (m - s)) for s in range(1, m)]
-    weights = np.array([0.0, *by_size])[_bit_table(m)[1:-1].sum(axis=1)]
-    weights.setflags(write=False)
-    return weights
-
-
 def _scaled_design(table, weights):
     """(sqrt(w) * design, sqrt(w)) over table[1:-1]: efficiency eliminates the last
     feature, so each column is z_i - z_last."""
@@ -348,10 +351,16 @@ def _scaled_design(table, weights):
 
 @lru_cache(maxsize=8)
 def _exhaustive_projection(m):
-    """theta = P @ target: the weighted least-squares solve over _bit_table(m),
-    whose design depends only on m, as one pseudo-inverse."""
-    design, scale = _scaled_design(_bit_table(m), _exhaustive_weights(m))
-    projection = np.linalg.pinv(design) * scale
+    """theta = P @ target over _bit_table(m)[1:-1]: the regression over every
+    coalition solves to the Shapley values, so P is their coefficients, w[s-1]
+    for feature i < M-1 in coalition S of size s and -w[s] if i is not, with
+    w[k] = k!(M-k-1)!/M!. The target's v(empty), v(full) and the last feature's
+    indicator game give feature i nothing (dummy axiom), so no column is lost."""
+    interior = _bit_table(m)[1:-1]
+    sizes = interior.sum(axis=1)
+    fact = [math.factorial(k) for k in range(m + 1)]
+    w = np.array([fact[k] * fact[m - 1 - k] / fact[m] for k in range(m)])
+    projection = np.where(np.ascontiguousarray(interior[:, :-1].T), w[sizes - 1], -w[sizes])
     projection.setflags(write=False)
     return projection
 
@@ -555,7 +564,9 @@ def kernel_shap(model, instance, config, feature_names=None):
 
     The intercept is pinned to v(empty) and efficiency (attributions sum
     to model_output - base_value) is imposed exactly by eliminating the
-    last feature's coefficient from the regression.
+    last feature's coefficient from the regression. EXHAUSTIVE mode takes
+    the fit in closed form (`_exhaustive_projection`); a sampled budget
+    solves it with `np.linalg.lstsq`.
     """
     x = np.asarray(instance, dtype=float).ravel()
     m = x.shape[0]
@@ -582,6 +593,8 @@ def global_importance(model, X, config, feature_names=None):
     sets while the whole aggregate stays reproducible.
     """
     X = np.atleast_2d(_as_finite(X, "X"))
+    if X.ndim != 2:
+        raise DatasetError(f"X must be a matrix of instances, got {X.ndim} dimensions")
     if X.shape[0] == 0:
         raise DatasetError("global importance needs at least one instance")
     m = X.shape[1]

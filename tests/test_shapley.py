@@ -6,6 +6,7 @@ closed forms available for constant and linear models.
 """
 
 import hashlib
+import math
 import os
 import sys
 import threading
@@ -108,6 +109,18 @@ class TestCoalitionValue:
     def test_out_of_range_subset_rejected(self, instance5, background5):
         with pytest.raises(ConfigError, match="subset indices"):
             coalition_value(nonlinear_model, instance5, [5], background5)
+
+    @pytest.mark.parametrize("subset", [[0.5], [1.0], [np.float64(2.0)], [True], [0, False]])
+    def test_non_integer_subset_rejected(self, instance5, background5, subset):
+        # a fractional index was truncated: [0.5] returned v({0})
+        with pytest.raises(ConfigError, match="subset indices"):
+            coalition_value(nonlinear_model, instance5, subset, background5)
+
+    def test_numpy_integer_subset_accepted(self, instance5, background5):
+        subset = np.array([3, 0])
+        assert coalition_value(nonlinear_model, instance5, subset, background5) == (
+            coalition_value(nonlinear_model, instance5, [0, 3], background5)
+        )
 
     def test_accepts_trained_model_objects(self, logistic, parts):
         x = parts.test.features()[0]
@@ -1095,3 +1108,113 @@ def test_sampled_coalitions_pinned():
                 digest.update(masks.tobytes())
                 digest.update(counts.astype("<f8").tobytes())
     assert digest.hexdigest() == "3447e2136d49e409652a27d04213aac745b57658e72011afc564108a584ad705"
+
+
+class _Forwarding:
+    """A wrapper object whose predict_proba is the given function."""
+
+    def __init__(self, predict):
+        self.predict_proba = predict
+
+
+def _nan_on_last_row(X):
+    out = np.full(len(X), 0.5)
+    out[-1] = np.nan
+    return out
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda f, x, bg: kernel_shap(f, x, ShapConfig(background=bg)),
+        lambda f, x, bg: kernel_shap(f, x, ShapConfig(background=bg, n_coalition_samples=200)),
+        lambda f, x, bg: global_importance(f, [x, x], ShapConfig(background=bg)),
+        lambda f, x, bg: exact_shapley(f, x, bg),
+        lambda f, x, bg: coalition_value(f, x, [0, 4], bg),
+        lambda f, x, bg: explain_local(f, x, bg, LimeConfig()),
+    ],
+    ids=["kernel_shap", "kernel_shap-sampled", "global_importance", "exact_shapley",
+         "coalition_value", "explain_local"],
+)
+@pytest.mark.parametrize(
+    "output, named",
+    [
+        (_nan_on_last_row, r"model output for row \d+ is nan; it must be finite"),
+        (lambda X: np.full(len(X) - 1, 0.5), r"model returned shape \(\d+,\) for \d+ rows"),
+        (lambda X: np.full((len(X), 1), 0.5), r"model returned shape \(\d+, 1\) for \d+ rows"),
+    ],
+    ids=["nan", "short", "2-D"],
+)
+@pytest.mark.parametrize("wrap", [lambda f: f, _Forwarding], ids=["callable", "forwarding"])
+def test_model_output_checked(parts, entry, output, named, wrap):
+    # NaN used to flow into NaN phi, weights and local_fidelity without an error,
+    # and a wrong shape into a raw reshape ValueError or TypeError
+    x = parts.test.features()[0]
+    background = parts.train.features()[:8]
+    with pytest.raises(DatasetError, match=named):
+        entry(wrap(output), x, background)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda f, x, bg: kernel_shap(f, x, ShapConfig(background=bg)),
+        lambda f, x, bg: kernel_shap(f, x, ShapConfig(background=bg, n_coalition_samples=10)),
+        lambda f, x, bg: global_importance(f, [x, x], ShapConfig(background=bg)),
+        lambda f, x, bg: exact_shapley(f, x, bg),
+    ],
+    ids=["kernel_shap", "kernel_shap-sampled", "global_importance", "exact_shapley"],
+)
+def test_zero_feature_instance_rejected(entry):
+    # it raised a raw "cannot reshape array of size 0"
+    with pytest.raises(DatasetError, match="the instance has 0 features"):
+        entry(lambda X: np.zeros(len(X)), np.empty(0), np.empty((3, 0)))
+
+
+@pytest.mark.parametrize("kind", ["logistic", "tree"])
+def test_global_importance_rejects_a_3d_X(all_models, parts, kind):
+    # it blamed the background: "background has 3 features but the instance has 2"
+    X = parts.test.features()[:4].reshape(2, 2, 12)
+    config = ShapConfig(background=parts.train.features())
+    with pytest.raises(DatasetError, match="X must be a matrix of instances, got 3 dimensions"):
+        global_importance(all_models[kind], X, config)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_exhaustive_projection_is_the_weighted_least_squares_solve(m):
+    # the closed-form Shapley table against the pseudo-inverse of the
+    # kernel-weighted design it replaced
+    table = _bit_table(m)
+    sizes = table[1:-1].sum(axis=1)
+    by_size = [0.0] + [(m - 1) / (math.comb(m, s) * s * (m - s)) for s in range(1, m)]
+    design, scale = shapley._scaled_design(table, np.array(by_size)[sizes])
+    oracle = np.linalg.pinv(design) * scale
+    projection = shapley._exhaustive_projection(m)
+    assert projection.shape == oracle.shape == (m - 1, (1 << m) - 2)
+    np.testing.assert_allclose(projection, oracle, rtol=0, atol=1e-15)
+
+
+def _no_linear_algebra(*args, **kwargs):
+    raise AssertionError("exhaustive Kernel SHAP called a numpy.linalg solver")
+
+
+@pytest.mark.parametrize("m", [1, 2, 12])
+def test_exhaustive_mode_calls_no_solver(m, monkeypatch):
+    rng = np.random.default_rng(m)
+    X, background = rng.normal(size=(3, m)), rng.normal(size=(6, m))
+    w = rng.normal(size=m)
+
+    def model(X):
+        z = np.atleast_2d(X) @ w
+        return np.tanh(z) + 0.1 * z**2
+
+    exact = [exact_shapley(model, x, background).phi for x in X]
+    shapley._exhaustive_projection.cache_clear()
+    for name in ("pinv", "svd", "qr", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, _no_linear_algebra)
+    config = ShapConfig(background=background)
+    for x, phi in zip(X, exact):
+        np.testing.assert_allclose(kernel_shap(model, x, config).phi, phi, rtol=0, atol=1e-12)
+    importance = global_importance(model, X, config)
+    np.testing.assert_allclose(importance.importances, np.abs(exact).mean(axis=0), rtol=0,
+                               atol=1e-12)

@@ -45,6 +45,13 @@ model is trained under that relative path in a scratch directory, and the
 stored file is replaced only when more than its timestamps changed, so a
 rerun on an unchanged tree leaves the stored models untouched.
 
+Last, for each report with a ranking, the script prints the smallest gap
+between consecutive ranked importances and the ranks (1-based) whose order
+rests on a gap below 1e-12, and for each compare report the features whose
+sign agreement rests on a Shapley value or LIME weight below 1e-12 in size.
+Such an order or sign is set by rounding, so another numpy or BLAS build
+can flip it.
+
 Regenerate only for a change that is meant to alter these reports, and
 say in CHANGES.md what changed and why.
 
@@ -90,6 +97,8 @@ GLOBAL_KINDS = ("logistic", "svm", "tree")
 # masked_proba tables per kind: 1934 and 1947, and for the tree the flood
 # years 1961 and 2018 (a KNN table on the trainset background takes 0.1-0.2 s)
 MASKED_YEARS = {"tree": (1934, 1947, 1961, 2018), "knn": YEARS}
+# an order or a sign decided by less than this is rounding, not the model
+NEAR_TIE = 1e-12
 
 
 def _run(argv):
@@ -208,6 +217,40 @@ def masked_proba_tables(kind):
     }
 
 
+def ranking_margin(report):
+    """The smallest gap between consecutive ranked importances of a report, and
+    the 1-based ranks either side of each gap below NEAR_TIE."""
+    by_name = dict(zip(report["feature_names"], report["importances"]))
+    ranked = [by_name[name] for name in report["ranking"]]
+    gaps = [a - b for a, b in zip(ranked, ranked[1:])]
+    near = sorted({r for k, gap in enumerate(gaps) if gap < NEAR_TIE for r in (k + 1, k + 2)})
+    return min(gaps), near
+
+
+def near_zero_signs(report):
+    """The features of a compare report whose sign agreement rests on a Shapley
+    value or LIME weight below NEAR_TIE in size."""
+    return [
+        entry["feature"]
+        for entry in report["sign_agreement"]
+        if min(abs(entry["shap_phi"]), abs(entry["lime_weight"])) < NEAR_TIE
+    ]
+
+
+def print_margins():
+    """Print the ranking margin of every report with a ranking, and the near-zero
+    signs of every compare report."""
+    for case in cases():
+        report = json.loads(Path(case["report"]).read_text(encoding="utf-8"))
+        if "ranking" in report:
+            gap, near = ranking_margin(report)
+            print(f"{case['name']}: smallest ranking gap {gap:.3g}; ranks resting on a gap "
+                  f"below {NEAR_TIE:g}: {', '.join(map(str, near)) or 'none'}")
+        if "sign_agreement" in report:
+            print(f"{case['name']}: signs resting on a value below {NEAR_TIE:g}: "
+                  f"{', '.join(near_zero_signs(report)) or 'none'}")
+
+
 def store_model(trained, stored):
     """Copy the trained model file over the stored one unless only timestamps differ."""
     new = trained.read_text(encoding="utf-8")
@@ -247,6 +290,7 @@ def main():
     print(f"wrote {len(cases())} reports, {len(MODEL_KINDS)} models with their train "
           f"reports and the {' and '.join(MASKED_YEARS)} "
           f"masked_proba tables to {GOLDEN_DIR}")
+    print_margins()
 
 
 if __name__ == "__main__":
