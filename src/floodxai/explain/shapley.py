@@ -4,11 +4,10 @@ Two independent routes to the same quantity:
 
 * :func:`exact_shapley` enumerates every feature subset and applies the
   combinatorial Shapley formula directly — the brute-force oracle.
-* :func:`kernel_shap` fits an additive surrogate by weighted least squares
-  over binary coalition vectors using the Shapley kernel. Over every
-  coalition (EXHAUSTIVE mode) that fit is the Shapley values (Lundberg & Lee
-  2017, Theorem 2), so it is taken in closed form, with no solver; with a
-  sampled coalition budget it approximates them at a fraction of the cost.
+* :func:`kernel_shap` fits an additive surrogate by weighted least squares over
+  binary coalition vectors using the Shapley kernel. Over every coalition (EXHAUSTIVE
+  mode) that fit is the Shapley values (Lundberg & Lee 2017, Theorem 2), taken here in
+  closed form; a sampled coalition budget approximates them at a fraction of the cost.
 
 The coalition value v(S) uses background substitution: features in S take
 the instance's values, the rest are replaced by background rows, and the
@@ -351,16 +350,16 @@ def _scaled_design(table, weights):
 
 @lru_cache(maxsize=8)
 def _exhaustive_projection(m):
-    """theta = P @ target over _bit_table(m)[1:-1]: the regression over every
-    coalition solves to the Shapley values, so P is their coefficients, w[s-1]
-    for feature i < M-1 in coalition S of size s and -w[s] if i is not, with
-    w[k] = k!(M-k-1)!/M!. The target's v(empty), v(full) and the last feature's
-    indicator game give feature i nothing (dummy axiom), so no column is lost."""
+    """theta = P @ target over _bit_table(m)[1:-1] in closed form: every coalition's
+    regression solves to the Shapley values, so P[i, S] = w[s-1] if feature i < M-1 is in
+    S (size s), else -w[s], with w[k] = k!(M-k-1)!/M!; the target's other terms give i
+    nothing (dummy axiom). Kept column-major, as np.where leaves it: a row-major copy
+    rounds P @ target differently and flips the sign of tree-compare-1947's zero FEB phi."""
     interior = _bit_table(m)[1:-1]
     sizes = interior.sum(axis=1)
     fact = [math.factorial(k) for k in range(m + 1)]
     w = np.array([fact[k] * fact[m - 1 - k] / fact[m] for k in range(m)])
-    projection = np.where(np.ascontiguousarray(interior[:, :-1].T), w[sizes - 1], -w[sizes])
+    projection = np.where(interior[:, :-1].T, w[sizes - 1], -w[sizes])
     projection.setflags(write=False)
     return projection
 
@@ -562,11 +561,9 @@ def _method(config):
 def kernel_shap(model, instance, config, feature_names=None):
     """Kernel SHAP: weighted least squares over binary coalition vectors.
 
-    The intercept is pinned to v(empty) and efficiency (attributions sum
-    to model_output - base_value) is imposed exactly by eliminating the
-    last feature's coefficient from the regression. EXHAUSTIVE mode takes
-    the fit in closed form (`_exhaustive_projection`); a sampled budget
-    solves it with `np.linalg.lstsq`.
+    The intercept is pinned to v(empty) and efficiency (attributions sum to model_output
+    - base_value) is imposed exactly by eliminating the last feature's coefficient. The
+    fit is closed-form in EXHAUSTIVE mode (`_exhaustive_projection`), else `lstsq`.
     """
     x = np.asarray(instance, dtype=float).ravel()
     m = x.shape[0]
