@@ -2,11 +2,15 @@
 
 One subcommand per process, and every subcommand has the same shape: check
 the flags, load the data, compute, print the text report, then write the
-outputs from one shared tail (`_emit`). The flag rules of `train` and
-`explain` (hyperparameters, `--year`, `--samples`, the explainer settings,
-`--svg` with `--mode compare`), the split `--seed` and `--split` of
-`train` and `evaluate`, and the split seed and fraction that the model files
-of `evaluate` and `explain` record are decided before any data is read.
+outputs from one shared tail (`_emit`). `FLAGS` is the one table of the
+flags: the subcommands that take each flag and, for `train` (per `--model`
+kind) and `explain` (per `--mode`), the modes it applies to; the config
+fields it sets, its default, its argparse type and the manifest key that
+echoes it. The parser, the check that rejects a flag its mode does not use,
+the defaults and the manifest echo all come from it. That check, the split
+`--seed` and `--split` of `train` and `evaluate`, the explainer settings of
+`explain`, and the split seed and fraction that the model files of
+`evaluate` and `explain` record are all decided before the CSV is read.
 `--json PATH` writes the canonical JSON report (`-` for stdout) and
 `--svg PATH` writes a static chart where the mode has one. Every JSON
 report embeds a run manifest. Outputs are written atomically and only after
@@ -20,12 +24,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .dataset import MONTHS, _check_split, impute_missing, load_csv, monthly_means, split
+from .dataset import IMPUTE_STRATEGIES, MONTHS, _check_split, impute_missing, load_csv
+from .dataset import monthly_means, split
 from .errors import ConfigError, DatasetError, FloodXaiError
 from .explain import (
     EXHAUSTIVE,
@@ -55,17 +59,108 @@ from .render import (
 )
 
 DISPLAY_NAMES = {kind: entry.display_name for kind, entry in KINDS.items()}
-# train flag -> (config field, help); a flag applies to the kinds whose config has the field
-HYPERPARAMETER_FLAGS = {
-    "--k": ("k", "neighbor count"),
-    "--max-depth": ("max_depth", "depth cap"),
-    "--c": ("C", "soft-margin C"),
-    "--lr": ("learning_rate", "learning rate"),
-    "--epochs": ("epochs", "training epochs"),
-}
-_IMPUTE_CHOICES = ("column-mean", "zero")
-# the split of `train`, and of `evaluate` and `explain` on model files that record none
-_SPLIT_DEFAULTS = {"seed": 42, "split": 0.7}
+ALL_COMMANDS = ("summary", "train", "evaluate", "explain")
+EXPLAIN_MODES = ("global-shap", "local-shap", "local-lime", "compare")
+_SHAP_MODES = ("global-shap", "local-shap", "compare")
+_LIME_MODES = ("local-lime", "compare")
+_COMPARE_TOP_K = 5  # compare's top-k when --top-features is left out
+# the flag whose value is the mode that `Flag.modes` names
+_SELECTORS = {"train": "--model", "explain": "--mode"}
+
+
+@dataclass(frozen=True)
+class Flag:
+    """One flag of one or more subcommands. `modes` lists the values of the
+    subcommand's selector (`--model` of `train`, `--mode` of `explain`) that it
+    applies to, None for all. It sets the config fields `config_fields`, which
+    also name it in a config error. Left out, it takes `default` (a callable
+    takes the parsed arguments); `echo` is the manifest hyperparameter that
+    records its value. A `required` flag must be given wherever it applies."""
+
+    name: str
+    commands: tuple
+    help: str
+    modes: tuple = None
+    config_fields: tuple = ()
+    default: object = None
+    echo: str = None
+    required: bool = False
+    type: object = None
+    choices: tuple = None
+    nargs: str = None
+    metavar: str = None
+
+    @property
+    def dest(self):
+        return self.name[2:].replace("-", "_")
+
+
+def _hyperparameter(name, field, text):
+    """A train flag for a model config field: it applies to the kinds whose config
+    has the field, and each of those configs gives its default."""
+    defaults = {kind: f.default for kind, entry in KINDS.items()
+                for f in fields(entry.config_class) if f.name == field}
+    shown = ", ".join(f"{kind} {value}" for kind, value in defaults.items())
+    return Flag(name, ("train",), f"{text}; default {shown}", modes=tuple(defaults),
+                config_fields=(field,), type=type(next(iter(defaults.values()))))
+
+
+FLAGS = (
+    Flag("--data", ALL_COMMANDS, "rainfall CSV file", required=True, metavar="CSV"),
+    Flag("--impute", ALL_COMMANDS, "fill strategy for missing rainfall cells",
+         default="column-mean", echo="impute", choices=IMPUTE_STRATEGIES),
+    Flag("--json", ALL_COMMANDS, "write the JSON report to PATH ('-' prints it to stdout)",
+         metavar="PATH"),
+    Flag("--svg", ("summary", "explain"), "write an SVG chart to PATH",
+         modes=("global-shap", "local-shap", "local-lime"), metavar="PATH"),
+    # train
+    Flag("--model", ("train",), "model kind", echo="model", required=True, choices=MODEL_KINDS),
+    Flag("--seed", ("train",), "split seed", config_fields=("seed",), default=42, type=int),
+    Flag("--split", ("train",), "train fraction", config_fields=("train_fraction",), default=0.7,
+         echo="split", type=float),
+    Flag("--out", ("train",), "model output path; default <kind>_model.json",
+         default=lambda args: f"{args.model}_model.json", metavar="PATH"),
+    _hyperparameter("--k", "k", "neighbor count"),
+    _hyperparameter("--max-depth", "max_depth", "depth cap"),
+    _hyperparameter("--c", "C", "soft-margin C"),
+    _hyperparameter("--lr", "learning_rate", "learning rate"),
+    _hyperparameter("--epochs", "epochs", "training epochs"),
+    # evaluate
+    Flag("--model", ("evaluate",), "model JSON file(s)", echo="models", required=True,
+         nargs="+", metavar="PATH"),
+    Flag("--seed", ("evaluate",), "split seed; default: the one the model files record",
+         config_fields=("seed",), type=int),
+    Flag("--split", ("evaluate",), "train fraction; default: the one the model files record",
+         config_fields=("train_fraction",), echo="split", type=float),
+    Flag("--on", ("evaluate",), "partition to score", default="test", echo="on",
+         choices=("test", "train", "all")),
+    # explain
+    Flag("--model", ("explain",), "model JSON file", echo="model", required=True, metavar="PATH"),
+    Flag("--mode", ("explain",), "explanation to compute", echo="mode", required=True,
+         choices=EXPLAIN_MODES),
+    Flag("--year", ("explain",), "instance year", modes=("local-shap", "local-lime", "compare"),
+         required=True, type=int),
+    Flag("--background", ("explain",), "masked-feature reference: training rows or their mean",
+         modes=_SHAP_MODES, default="trainset", echo="background", choices=("trainset", "mean")),
+    Flag("--samples", ("explain",), "SHAP coalition budget (an integer or 'exhaustive'); "
+         f"LIME perturbation count (an integer, {LimeConfig.n_perturbations} when left out)",
+         config_fields=("n_coalition_samples", "n_perturbations"), default=EXHAUSTIVE,
+         echo="samples"),
+    Flag("--seed", ("explain",), "explainer sampling seed", config_fields=("seed",), default=0,
+         type=int),
+    Flag("--bins", ("explain",), "LIME discretizer bins", modes=_LIME_MODES,
+         config_fields=("n_bins",), default=4, echo="bins", type=int),
+    Flag("--kernel-width", ("explain",), "LIME proximity kernel width; default 0.75*sqrt(12)",
+         modes=_LIME_MODES, config_fields=("kernel_width",), echo="kernel_width", type=float),
+    Flag("--top-features", ("explain",),
+         f"LIME condition count (default {LimeConfig.n_selected_features}) and compare's "
+         f"top-k (default {_COMPARE_TOP_K})", modes=_LIME_MODES,
+         config_fields=("n_selected_features",), echo="top_features", type=int),
+)
+
+
+def _flags(command):
+    return [flag for flag in FLAGS if command in flag.commands]
 
 
 def _version():
@@ -74,21 +169,14 @@ def _version():
     return __version__
 
 
-def _add_common_io(sub, svg=True):
-    sub.add_argument("--data", required=True, metavar="CSV", help="rainfall CSV file")
-    sub.add_argument(
-        "--impute",
-        choices=_IMPUTE_CHOICES,
-        default="column-mean",
-        help="fill strategy for missing rainfall cells (default: column-mean)",
-    )
-    sub.add_argument(
-        "--json",
-        metavar="PATH",
-        help="write the JSON report to PATH ('-' prints it to stdout)",
-    )
-    if svg:
-        sub.add_argument("--svg", metavar="PATH", help="write an SVG chart to PATH")
+def _help(flag, command):
+    """The flag's help text with the modes it applies to and its default."""
+    notes = []
+    if flag.modes is not None and command in _SELECTORS:
+        notes.append(f"{_SELECTORS[command]} {', '.join(flag.modes)}")
+    if flag.default is not None and not callable(flag.default):
+        notes.append(f"default {flag.default}")
+    return f"{flag.help} ({'; '.join(notes)})" if notes else flag.help
 
 
 def build_parser():
@@ -100,94 +188,66 @@ def build_parser():
         "--version", action="version", version=f"%(prog)s {_version()}"
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser(
-        "summary", help="dataset overview: counts, missing cells, monthly means"
-    )
-    _add_common_io(p)
-    p.set_defaults(func=cmd_summary)
-
-    p = sub.add_parser("train", help="train a classifier and save it as JSON")
-    _add_common_io(p, svg=False)
-    p.add_argument("--model", required=True, choices=MODEL_KINDS, help="model kind")
-    p.add_argument(
-        "--seed", type=int, default=_SPLIT_DEFAULTS["seed"], help="split seed (default %(default)s)"
-    )
-    p.add_argument(
-        "--split",
-        type=float,
-        default=_SPLIT_DEFAULTS["split"],
-        help="train fraction (default %(default)s)",
-    )
-    p.add_argument(
-        "--out", metavar="PATH", help="model output path (default <kind>_model.json)"
-    )
-    for flag, (field, text) in HYPERPARAMETER_FLAGS.items():
-        kinds = _flag_kinds(field)
-        default = getattr(KINDS[kinds[0]].config_class(), field)
-        p.add_argument(
-            flag, dest=field, type=type(default), help=f"{text} ({', '.join(kinds)})"
-        )
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="score saved models on a dataset partition")
-    _add_common_io(p, svg=False)
-    p.add_argument(
-        "--model", required=True, nargs="+", metavar="PATH", help="model JSON file(s)"
-    )
-    p.add_argument(
-        "--seed",
-        type=int,
-        help="split seed (default: the seed recorded in the model files)",
-    )
-    p.add_argument(
-        "--split", type=float, help="train fraction (default: from the model files)"
-    )
-    p.add_argument(
-        "--on",
-        choices=("test", "train", "all"),
-        default="test",
-        help="partition to score (default test)",
-    )
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("explain", help="SHAP and LIME explanation reports")
-    _add_common_io(p)
-    p.add_argument("--model", required=True, metavar="PATH", help="model JSON file")
-    p.add_argument(
-        "--mode",
-        required=True,
-        choices=("global-shap", "local-shap", "local-lime", "compare"),
-    )
-    p.add_argument("--year", type=int, help="instance year (local modes and compare)")
-    p.add_argument(
-        "--background",
-        choices=("trainset", "mean"),
-        default="trainset",
-        help="masked-feature reference: training rows or their mean (default trainset)",
-    )
-    p.add_argument(
-        "--samples",
-        default=EXHAUSTIVE,
-        help="coalition budget for SHAP modes (integer or 'exhaustive'); "
-        "perturbation count for local-lime (default 2000)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="explainer sampling seed")
-    p.add_argument("--bins", type=int, default=4, help="discretizer bins (lime)")
-    p.add_argument(
-        "--kernel-width",
-        type=float,
-        dest="kernel_width",
-        help="proximity kernel width (lime; default 0.75*sqrt(12))",
-    )
-    p.add_argument(
-        "--top-features",
-        type=int,
-        dest="top_features",
-        help="condition count for lime (default 6) / top-k for compare (default 5)",
-    )
-    p.set_defaults(func=cmd_explain)
+    for command, func, text in (
+        ("summary", cmd_summary, "dataset overview: counts, missing cells, monthly means"),
+        ("train", cmd_train, "train a classifier and save it as JSON"),
+        ("evaluate", cmd_evaluate, "score saved models on a dataset partition"),
+        ("explain", cmd_explain, "SHAP and LIME explanation reports"),
+    ):
+        p = sub.add_parser(command, help=text)
+        # no argparse default: a flag left out reads None, so `_settle` can tell it
+        for flag in _flags(command):
+            p.add_argument(flag.name, type=flag.type, choices=flag.choices, nargs=flag.nargs,
+                           metavar=flag.metavar, required=flag.required and flag.modes is None,
+                           help=_help(flag, command))
+        p.set_defaults(func=func)
     return parser
+
+
+def _settle(args):
+    """Check the flags against the command's mode, then fill in their defaults.
+    A flag given under a mode it does not apply to, or left out where it is
+    required, is a ConfigError before any file is read. `args.given` maps the
+    config fields of the flags given to their values, so a config keeps its
+    own default for a flag left out."""
+    flags = _flags(args.command)
+    selector = _SELECTORS.get(args.command)
+    mode = getattr(args, selector[2:]) if selector else None
+    for flag in flags:
+        given = getattr(args, flag.dest) is not None
+        applies = flag.modes is None or mode is None or mode in flag.modes
+        if given and not applies:
+            raise ConfigError(f"{flag.name} does not apply to {selector} {mode}")
+        if applies and flag.required and not given:
+            raise ConfigError(f"{selector} {mode} requires {flag.name}")
+    args.given = {field: getattr(args, flag.dest) for flag in flags
+                  if getattr(args, flag.dest) is not None for field in flag.config_fields}
+    for flag in flags:
+        if getattr(args, flag.dest) is None:
+            default = flag.default
+            setattr(args, flag.dest, default(args) if callable(default) else default)
+
+
+def _config(config_class, args, **parsed):
+    """`config_class`'s defaults, replaced by the given flags that set its fields
+    (`parsed` holds such a value in its parsed form)."""
+    names = {f.name for f in fields(config_class)}
+    given = {name: parsed.get(name, value) for name, value in args.given.items() if name in names}
+    return replace(config_class(), **given)
+
+
+def _naming_flag(exc, command):
+    """The error's message, led by the flag that sets the config field a config
+    error's message starts with."""
+    flags = {field: flag.name for flag in _flags(command) for field in flag.config_fields}
+    flag = flags.get(str(exc).split(" ", 1)[0])
+    return f"{flag}: {exc}" if isinstance(exc, ConfigError) and flag else str(exc)
+
+
+def _split_default(key):
+    """`train`'s split seed or fraction when its flag is left out, which also
+    stands for one that a model file does not record."""
+    return next(f.default for f in _flags("train") if f.dest == key)
 
 
 def _emit(args, report, svg=None):
@@ -210,14 +270,10 @@ def _chart(text_chart, svg_chart, labels, values, title, **text_options):
 
 
 def _manifest(args, seeds=None, **hyperparameters):
-    """The command's run manifest; every command records its --impute."""
-    return build_manifest(
-        args.command,
-        args.data,
-        _version(),
-        seeds=seeds,
-        hyperparameters=dict(hyperparameters, impute=args.impute),
-    )
+    """The command's run manifest: the values of its echoed flags, then `hyperparameters`."""
+    echo = {flag.echo: getattr(args, flag.dest) for flag in _flags(args.command) if flag.echo}
+    return build_manifest(args.command, args.data, _version(), seeds=seeds,
+                          hyperparameters=dict(echo, **hyperparameters))
 
 
 def _load_imputed(args):
@@ -280,45 +336,14 @@ def _metrics_report(partition, n_rows, seed, fraction, scored, manifest):
     }
 
 
-def _flag_kinds(field):
-    """The kinds a hyperparameter flag applies to: those whose config has its field."""
-    return [k for k, e in KINDS.items() if field in {f.name for f in fields(e.config_class)}]
-
-
-@contextmanager
-def _naming_flags():
-    """Prefix a config error with its train flag: config messages start with the field."""
-    try:
-        yield
-    except ConfigError as exc:
-        flags = {field: flag for flag, (field, _) in HYPERPARAMETER_FLAGS.items()}
-        flag = flags.get(str(exc).split(" ", 1)[0])
-        if flag is None:
-            raise
-        raise ConfigError(f"{flag}: {exc}") from None
-
-
 def cmd_train(args):
-    given = {}
-    for flag, (field, _) in HYPERPARAMETER_FLAGS.items():
-        if getattr(args, field) is None:
-            continue
-        if args.model not in _flag_kinds(field):
-            raise ConfigError(f"{flag} does not apply to --model {args.model}")
-        given[field] = getattr(args, field)
-    config = replace(KINDS[args.model].config_class(), **given)
-    with _naming_flags():
-        config.validate()
-    _check_split_flags(args)
+    config = _config(KINDS[args.model].config_class, args)
+    config.validate()
+    _check_split(args.split, args.seed)
     dataset = _load_imputed(args)
     parts = split(dataset, args.split, args.seed)
-    with _naming_flags():
-        # the trainer checks bounds that depend on the training rows (knn: k <= rows)
-        model = train_model(args.model, parts.train, config)
-    out_path = args.out or f"{args.model}_model.json"
-    manifest = _manifest(
-        args, seeds={"split": args.seed}, model=args.model, split=args.split, **asdict(config)
-    )
+    model = train_model(args.model, parts.train, config)
+    manifest = _manifest(args, seeds={"split": args.seed}, **asdict(config))
     metadata = {
         "feature_names": list(dataset.feature_names),
         "seed": args.seed,
@@ -328,15 +353,15 @@ def cmd_train(args):
         "n_test": len(parts.test),
         "dataset_fingerprint": manifest["dataset_fingerprint"],
     }
-    save_model(model, out_path, metadata=metadata, manifest=manifest)
+    save_model(model, args.out, metadata=metadata, manifest=manifest)
     train_report = evaluate(model, parts.train, name=DISPLAY_NAMES[args.model])
     print(
         f"trained {args.model} on {len(parts.train)} rows "
         f"(seed {args.seed}, split {args.split}); "
         f"train accuracy {train_report.accuracy:.3f}"
     )
-    print(f"model -> {out_path}")
-    scored = [(out_path, args.model, train_report)]
+    print(f"model -> {args.out}")
+    scored = [(args.out, args.model, train_report)]
     return _emit(
         args, _metrics_report("train", len(parts.train), args.seed, args.split, scored, manifest)
     )
@@ -348,7 +373,7 @@ def _load_model(path):
     its default), so a malformed one exits 2 before any data is read."""
     payload = read_model_file(path)
     model, metadata = model_from_dict(payload), payload.get("metadata", {})
-    recorded = {key: metadata.get(key, default) for key, default in _SPLIT_DEFAULTS.items()}
+    recorded = {key: metadata.get(key, _split_default(key)) for key in ("seed", "split")}
     try:
         _check_split(recorded["split"], recorded["seed"])
     except ConfigError as exc:
@@ -356,16 +381,9 @@ def _load_model(path):
     return model, metadata
 
 
-def _check_split_flags(args):
-    """Check the given --seed and --split before any data is read. With no model
-    files `_resolve_split` reads a flag left out as its default; `_load_model`
-    checks the values model files record."""
-    seed, fraction = _resolve_split(args, [])
-    _check_split(fraction, seed)
-
-
 def _resolve_split(args, metadata_list):
-    """Split seed/fraction: explicit flags win, else the models' metadata."""
+    """Split seed/fraction: explicit flags win, else the models' metadata, else
+    train's defaults. The pair is checked by `split`'s rule."""
     resolved = []
     for key, what in (("seed", "seeds"), ("split", "fractions")):
         value = getattr(args, key)
@@ -376,31 +394,32 @@ def _resolve_split(args, metadata_list):
                     f"models were trained with different split {what} "
                     f"{sorted(recorded)}; pass --{key} to choose one"
                 )
-            value = recorded.pop() if recorded else _SPLIT_DEFAULTS[key]
+            value = recorded.pop() if recorded else _split_default(key)
         resolved.append(value)
+    _check_split(resolved[1], resolved[0])
     return tuple(resolved)
 
 
 def cmd_evaluate(args):
-    _check_split_flags(args)
+    _resolve_split(args, [])  # the split flags given, checked before any file is read
     loaded = [_load_model(path) for path in args.model]
-    seed, fraction = _resolve_split(args, [metadata for _, metadata in loaded])
+    args.seed, args.split = _resolve_split(args, [metadata for _, metadata in loaded])
     dataset = _load_imputed(args)
-    parts = split(dataset, fraction, seed)
+    parts = split(dataset, args.split, args.seed)
     part = {"test": parts.test, "train": parts.train, "all": dataset}[args.on]
     scored = []
     for path, (model, _) in zip(args.model, loaded):
         kind = model_kind(model)
         scored.append((path, kind, evaluate(model, part, name=DISPLAY_NAMES[kind])))
     print(
-        f"partition: {args.on} ({len(part)} rows; split seed {seed}, "
-        f"train fraction {fraction})"
+        f"partition: {args.on} ({len(part)} rows; split seed {args.seed}, "
+        f"train fraction {args.split})"
     )
     print(render_table([scores for _, _, scores in scored]))
-    manifest = _manifest(
-        args, seeds={"split": seed}, on=args.on, split=fraction, models=list(args.model)
+    manifest = _manifest(args, seeds={"split": args.seed})
+    return _emit(
+        args, _metrics_report(args.on, len(part), args.seed, args.split, scored, manifest)
     )
-    return _emit(args, _metrics_report(args.on, len(part), seed, fraction, scored, manifest))
 
 
 def _parse_budget(text):
@@ -416,25 +435,24 @@ def _parse_budget(text):
 
 def cmd_explain(args):
     budget = _parse_budget(args.samples)
-    if args.mode != "global-shap" and args.year is None:
-        raise ConfigError(f"--mode {args.mode} requires --year")
     # the CSV's features are always the twelve months, so the settings are checked
     # before it is read; the background is filled in once the training rows exist
     shap_config = ShapConfig(background=(), n_coalition_samples=budget, seed=args.seed)
-    lime_config = _lime_config(args, budget)
-    if args.mode != "local-lime":
+    lime_config = _config(LimeConfig, args, n_perturbations=budget)
+    if args.mode == "compare" and budget == EXHAUSTIVE:
+        # the one --samples of compare is exhaustive for SHAP; LIME keeps its count
+        lime_config = replace(lime_config, n_perturbations=LimeConfig.n_perturbations)
+    if args.mode in _SHAP_MODES:
         shap_config.validate(len(MONTHS))
-    if args.mode in ("local-lime", "compare"):
+    if args.mode in _LIME_MODES:
         lime_config.validate(len(MONTHS))
-    if args.mode == "compare" and args.svg:
-        raise ConfigError("--svg does not apply to --mode compare")
 
     model, metadata = _load_model(args.model)
     dataset = _load_imputed(args)
-    seed = metadata.get("seed", _SPLIT_DEFAULTS["seed"])
-    train = split(dataset, metadata.get("split", _SPLIT_DEFAULTS["split"]), seed).train
+    seed = metadata.get("seed", _split_default("seed"))
+    train = split(dataset, metadata.get("split", _split_default("split")), seed).train
     names = dataset.feature_names
-    if args.mode != "global-shap":
+    if args.year is not None:
         x = np.asarray(dataset.record_for_year(args.year).monthly_mm, dtype=float)
     background = train.features()
     if args.background == "mean":
@@ -490,7 +508,7 @@ def cmd_explain(args):
         importance = global_importance(model, dataset.features(), shap_config, names)
         shap_local = kernel_shap(model, x, shap_config, names)
         lime_local = explain_local(model, x, train, lime_config, names)
-        top_k = args.top_features if args.top_features is not None else 5
+        top_k = args.top_features if args.top_features is not None else _COMPARE_TOP_K
         agreement = compare_explanations(importance, lime_local, shap_local, top_k)
         print(
             f"year {args.year}: {len(agreement.overlap)} of the top-{agreement.top_k} "
@@ -506,40 +524,17 @@ def cmd_explain(args):
             )
         report = dict(agreement.to_dict(), year=args.year)
 
-    report["manifest"] = _manifest(
-        args,
-        seeds={"split": seed, "explainer": args.seed},
-        model=args.model,
-        mode=args.mode,
-        background=args.background,
-        samples=str(args.samples),
-        bins=args.bins,
-        kernel_width=args.kernel_width,
-        top_features=args.top_features,
-    )
+    report["manifest"] = _manifest(args, seeds={"split": seed, "explainer": args.seed})
     return _emit(args, report, svg)
 
 
-def _lime_config(args, budget):
-    defaults = LimeConfig()
-    return LimeConfig(
-        n_perturbations=budget if budget != EXHAUSTIVE else defaults.n_perturbations,
-        kernel_width=args.kernel_width,
-        n_selected_features=args.top_features
-        if args.top_features is not None
-        else defaults.n_selected_features,
-        n_bins=args.bins,
-        seed=args.seed,
-    )
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _settle(args)
         return args.func(args)
     except (ConfigError, DatasetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_naming_flag(exc, args.command)}", file=sys.stderr)
         return 2
     except FloodXaiError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,9 @@ from .errors import ConfigError, DatasetError
 
 MONTHS = ("JAN", "FEB", "MAR", "APR", "MAY", "JUN", "JUL", "AUG", "SEP", "OCT", "NOV", "DEC")
 
+#: the fill strategies of `impute_missing`
+IMPUTE_STRATEGIES = ("column-mean", "zero")
+
 #: maximum tolerated gap between a stated annual total and the monthly sum
 ANNUAL_TOLERANCE_MM = 1.0
 
@@ -254,7 +257,7 @@ def impute_missing(dataset, strategy="column-mean"):
     month column; ``zero`` fills with 0.0. Idempotent: a dataset without
     missing cells is returned unchanged.
     """
-    if strategy not in ("column-mean", "zero"):
+    if strategy not in IMPUTE_STRATEGIES:
         raise ConfigError(f"unknown imputation strategy {strategy!r}")
     X = dataset.features()
     missing = np.isnan(X)

@@ -12,6 +12,7 @@ import pytest
 
 import floodxai
 from floodxai import MODEL_KINDS, load_model, strip_timestamps
+from floodxai import cli
 from floodxai.cli import main as cli_main
 
 from conftest import REPO_ROOT
@@ -823,6 +824,11 @@ def test_split_flags_checked_before_the_data_is_read(
         ("train", "knn", ["--k", "500"]),
         ("train", "logistic", ["--lr", "nan"]),
         ("train", "tree", ["--seed", "-1"]),
+        ("explain", "tree", ["--mode", "global-shap", "--bins", "1", "--samples", "100"]),
+        ("explain", "tree", ["--mode", "global-shap", "--year", "1800"]),
+        ("explain", "tree", ["--mode", "local-shap", "--year", "1947", "--kernel-width", "-3"]),
+        ("explain", "tree", ["--mode", "local-lime", "--year", "1947", "--background", "mean"]),
+        ("explain", "tree", ["--mode", "local-lime", "--year", "1947", "--samples", "exhaustive"]),
     ],
     ids=[
         "compare-with-svg",
@@ -838,6 +844,11 @@ def test_split_flags_checked_before_the_data_is_read(
         "k-above-rows",
         "lr-nan",
         "train-negative-seed",
+        "global-shap-with-bins",
+        "global-shap-with-year",
+        "local-shap-with-kernel-width",
+        "local-lime-with-background",
+        "local-lime-exhaustive-samples",
     ],
 )
 def test_usage_error_writes_nothing(
@@ -862,6 +873,97 @@ def test_usage_error_writes_nothing(
     assert code == 2, err
     assert err.startswith("error:")
     assert list(out.iterdir()) == []
+
+
+# a valid and an invalid value of each flag the exit-code matrix varies; None: no invalid
+# value that fails before the outputs are written
+MATRIX_VALUES = {
+    "--impute": ("zero", "median"),
+    "--svg": ("{out}/chart.svg", None),
+    "--seed": ("3", "-1"),
+    "--split": ("0.6", "1.5"),
+    "--k": ("3", "0"),
+    "--max-depth": ("3", "-1"),
+    "--c": ("2.0", "0"),
+    "--lr": ("0.05", "0"),
+    "--epochs": ("50", "0"),
+    "--on": ("train", "everything"),
+    "--year": ("1934", "1800"),
+    "--background": ("mean", "median"),
+    "--samples": ("100", "7"),
+    "--bins": ("3", "1"),
+    "--kernel-width": ("2.0", "-3"),
+    "--top-features": ("3", "0"),
+}
+
+
+def _matrix_cases():
+    """(command, mode, flag, kind of value) for every subcommand, every value of its
+    selector (train's --model, explain's --mode) and every flag of MATRIX_VALUES,
+    read from the CLI's own flag table."""
+    cases = []
+    for command in cli.ALL_COMMANDS:
+        flags = cli._flags(command)
+        selector = cli._SELECTORS.get(command)
+        modes = next(f.choices for f in flags if f.name == selector) if selector else (None,)
+        for mode in modes:
+            for flag in flags:
+                if flag.name not in MATRIX_VALUES:
+                    continue
+                if mode is not None and flag.modes is not None and mode not in flag.modes:
+                    cases.append((command, mode, flag.name, "inapplicable"))
+                    continue
+                cases.append((command, mode, flag.name, "valid"))
+                if MATRIX_VALUES[flag.name][1] is not None:
+                    cases.append((command, mode, flag.name, "invalid"))
+    return cases
+
+
+def _applies(command, mode, name):
+    return any(
+        f.name == name and (mode is None or f.modes is None or mode in f.modes)
+        for f in cli._flags(command)
+    )
+
+
+@pytest.mark.parametrize(
+    "command, mode, flag, value_kind",
+    _matrix_cases(),
+    ids=lambda v: "all" if v is None else str(v),
+)
+def test_exit_code_matrix(run_cli, data_path, tmp_path, command, mode, flag, value_kind):
+    # each run exits 0, 2 or 3, an exit 2 writes nothing, and a flag given under a mode
+    # it does not apply to exits 2 naming both, before the CSV (here missing) is read
+    out = tmp_path / "out"
+    out.mkdir()
+    tree = REPO_ROOT / "tests" / "golden" / "models" / "tree.json"
+    argv = {
+        "summary": ["summary"],
+        "train": ["train", "--model", mode, "--out", out / "model.json"],
+        "evaluate": ["evaluate", "--model", tree],
+        "explain": ["explain", "--model", tree, "--mode", mode],
+    }[command]
+    base = (("--year", "1947"), ("--background", "mean"), ("--svg", out / "chart.svg"))
+    for name, value in base:
+        if _applies(command, mode, name):
+            argv += [name, value]
+    argv += ["--json", out / "report.json"]
+    valid, invalid = MATRIX_VALUES[flag]
+    value = (invalid if value_kind == "invalid" else valid).format(out=out)
+    data = tmp_path / "missing.csv" if value_kind == "inapplicable" else data_path
+    code, _, err = run_cli([*argv, flag, value, "--data", data])
+    assert code in (0, 2, 3), err
+    if code == 2:
+        assert list(out.iterdir()) == []
+    if value_kind == "valid":
+        assert code == 0, err
+    elif value_kind == "invalid":
+        # exhaustive SHAP draws nothing, so it leaves its --seed unchecked
+        assert code == 2 or (flag == "--seed" and mode in ("global-shap", "local-shap")), err
+    else:
+        selector = cli._SELECTORS[command]
+        assert code == 2
+        assert err == f"error: {flag} does not apply to {selector} {mode}\n"
 
 
 @pytest.mark.parametrize(
