@@ -40,15 +40,15 @@ from .explain import (
     global_importance,
     kernel_shap,
 )
-from .manifest import build_manifest, canonical_json, write_report, write_text
+from .manifest import build_manifest, canonical_json, write_text
 from .metrics import evaluate, render_table
 from .models import (
     KINDS,
     MODEL_KINDS,
     model_from_dict,
     model_kind,
+    model_to_dict,
     read_model_file,
-    save_model,
     train_model,
 )
 from .render import (
@@ -250,16 +250,20 @@ def _split_default(key):
     return next(f.default for f in _flags("train") if f.dest == key)
 
 
-def _emit(args, report, svg=None):
-    """The one output tail: the JSON report and the chart, as the flags ask."""
-    if args.json == "-":
-        sys.stdout.write(canonical_json(report))
-    elif args.json:
-        write_report(args.json, report)
-        print(f"json report -> {args.json}")
-    if svg is not None and args.svg:
-        write_text(args.svg, svg)
-        print(f"svg chart -> {args.svg}")
+def _emit(args, report, svg=None, model=None):
+    """The one output tail: the model file, the JSON report and the chart, as the
+    flags ask. The files are written as one group, so a failed write leaves none."""
+    outputs = [("model", args.out, model)] if model is not None else []
+    outputs.append(("json report", args.json, canonical_json(report)))
+    if svg is not None:
+        outputs.append(("svg chart", args.svg, svg))
+    outputs = [(label, path, text) for label, path, text in outputs if path]
+    write_text({path: text for _, path, text in outputs if path != "-"})
+    for label, path, text in outputs:
+        if path == "-":
+            sys.stdout.write(text)
+        else:
+            print(f"{label} -> {path}")
     return 0
 
 
@@ -353,17 +357,17 @@ def cmd_train(args):
         "n_test": len(parts.test),
         "dataset_fingerprint": manifest["dataset_fingerprint"],
     }
-    save_model(model, args.out, metadata=metadata, manifest=manifest)
     train_report = evaluate(model, parts.train, name=DISPLAY_NAMES[args.model])
     print(
         f"trained {args.model} on {len(parts.train)} rows "
         f"(seed {args.seed}, split {args.split}); "
         f"train accuracy {train_report.accuracy:.3f}"
     )
-    print(f"model -> {args.out}")
     scored = [(args.out, args.model, train_report)]
     return _emit(
-        args, _metrics_report("train", len(parts.train), args.seed, args.split, scored, manifest)
+        args,
+        _metrics_report("train", len(parts.train), args.seed, args.split, scored, manifest),
+        model=canonical_json(model_to_dict(model, metadata, manifest)),
     )
 
 

@@ -51,28 +51,39 @@ def canonical_json(obj):
 
 def write_report(path, obj):
     """Write canonical JSON atomically; a failed serialization writes nothing."""
-    return write_text(path, canonical_json(obj))
+    write_text({path: canonical_json(obj)})
+    return path
 
 
-def write_text(path, text):
-    """Write text atomically (temp file, then rename): a failed write leaves nothing.
+def write_text(texts):
+    """Write each text of a {path: text} mapping atomically, as one group.
 
-    The temp file is created with mode 0666 less the umask, so the renamed file
+    Every parent directory is made, then every text is written to a temp file
+    beside its path, and only then is each temp file renamed over its path. A
+    failure before the renames removes the temp files and raises, so it leaves
+    none of the group's files behind.
+
+    Each temp file is created with mode 0666 less the umask, so the renamed file
     gets the mode that a plain `open` would give it.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp_path = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
-    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    targets = [(path, os.path.dirname(os.path.abspath(path))) for path in texts]
+    for _, directory in targets:
+        os.makedirs(directory, exist_ok=True)
+    staged = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
+        for path, directory in targets:
+            tmp_path = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+            fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((tmp_path, path))
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(texts[path])
+        for tmp_path, path in staged:
+            os.replace(tmp_path, path)
     except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
+        for tmp_path, _ in staged:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
         raise
-    return path
 
 
 def strip_timestamps(obj):

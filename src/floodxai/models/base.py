@@ -180,6 +180,11 @@ class ProbabilityClassifier:
 _LATTICE_LOGIT_BOUND = 700.0
 
 
+# Epochs whose objective the linear trainers evaluate together, after their
+# steps: the block holds this many rows of n training values, a few tens of KB.
+_HISTORY_BLOCK = 64
+
+
 def _fold_to_raw(weights, offset, scaler):
     """Standardized-space linear parameters folded back to raw units:
     w . scaler.transform(x) + b == w' . x + b'. Returns (w', b')."""

@@ -38,9 +38,9 @@ def _scaler_from_dict(payload):
     return Scaler(mean=_finite_parameter("scaler mean", payload["mean"]), std=std)
 
 
-def model_to_dict(model, metadata=None):
-    """Serializable payload for a trained model."""
-    return {
+def model_to_dict(model, metadata=None, manifest=None):
+    """Serializable payload for a trained model; optionally with a run manifest."""
+    payload = {
         "schema": "floodxai.model",
         "schema_version": 1,
         "format_version": MODEL_FORMAT_VERSION,
@@ -50,6 +50,9 @@ def model_to_dict(model, metadata=None):
         "scaler": _scaler_to_dict(model.scaler),
         "metadata": dict(metadata or {}),
     }
+    if manifest is not None:
+        payload["manifest"] = manifest
+    return payload
 
 
 def model_from_dict(payload):
@@ -92,10 +95,7 @@ def model_from_dict(payload):
 
 def save_model(model, path, metadata=None, manifest=None):
     """Write a model JSON file atomically; optionally embed a run manifest."""
-    payload = model_to_dict(model, metadata)
-    if manifest is not None:
-        payload["manifest"] = manifest
-    return write_report(path, payload)
+    return write_report(path, model_to_dict(model, metadata, manifest))
 
 
 def read_model_file(path):

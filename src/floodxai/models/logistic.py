@@ -3,6 +3,12 @@
 Optimization runs in standardized feature space for numeric stability and
 the learned parameters are folded back to raw millimeter coordinates, so
 the model's log-odds are exactly linear in the raw features.
+
+Each epoch takes the gradient step of `loss_and_gradient` alone, in buffers
+allocated once, and keeps the epoch's logits and w . w. The loss history is
+the exact per-epoch loss of `loss_and_gradient`, with the same operations
+on the same values, evaluated for a block of epochs at a time after their
+steps.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import numpy as np
 
 from ..dataset import _check_integer, fit_scaler
 from ..errors import ConfigError
-from .base import LinearClassifier, _fold_to_raw, sigmoid
+from .base import _HISTORY_BLOCK, LinearClassifier, _fold_to_raw, _sigmoid_in_place, sigmoid
 
 
 @dataclass(frozen=True)
@@ -62,11 +68,18 @@ class LogisticModel(LinearClassifier):
     OFFSET = "intercept"
 
 
+def _losses(logits, sq_norms, y, l2):
+    """The loss of `loss_and_gradient` for each row of logits and its w . w."""
+    terms = np.logaddexp(0.0, logits)
+    terms -= y * logits
+    return terms.mean(axis=1) + 0.5 * l2 * sq_norms
+
+
 def train_logistic(train, config=None):
     """Fit a :class:`LogisticModel` on a training dataset.
 
-    Full-batch gradient descent from a zero start; the per-epoch loss history
-    is recorded and is non-increasing for the default step size.
+    Full-batch gradient descent from a zero start; the loss before each
+    epoch's step is recorded, and is non-increasing for the default step size.
     """
     config = config or LogisticConfig()
     config.validate()
@@ -77,15 +90,36 @@ def train_logistic(train, config=None):
 
     scaler = fit_scaler(train)
     X = scaler.transform(X_raw)
-    n_features = X.shape[1]
+    n, n_features = X.shape
+    rate, l2 = config.learning_rate, config.l2
     w = np.zeros(n_features)
     b = 0.0
+    residual = np.empty(n)
+    grad_w = np.empty(n_features)
+    penalty = np.empty(n_features)
+    logits = np.empty((_HISTORY_BLOCK, n))
+    sq_norms = np.empty(_HISTORY_BLOCK)
     history = np.empty(config.epochs)
     for epoch in range(config.epochs):
-        loss, grad_w, grad_b = loss_and_gradient(w, b, X, y, config.l2)
-        history[epoch] = loss
-        w = w - config.learning_rate * grad_w
-        b = b - config.learning_rate * grad_b
+        # the step of loss_and_gradient(w, b, X, y, l2), operation for operation
+        k = epoch % _HISTORY_BLOCK
+        z = logits[k]
+        np.matmul(X, w, out=z)
+        z += b
+        sq_norms[k] = np.dot(w, w)
+        np.copyto(residual, z)
+        _sigmoid_in_place(residual)
+        residual -= y
+        np.matmul(X.T, residual, out=grad_w)
+        grad_w /= n
+        np.multiply(w, l2, out=penalty)
+        grad_w += penalty
+        grad_b = float(residual.sum() / n)
+        grad_w *= rate
+        w -= grad_w
+        b = b - rate * grad_b
+        if k == _HISTORY_BLOCK - 1 or epoch == config.epochs - 1:
+            history[epoch - k : epoch + 1] = _losses(logits[: k + 1], sq_norms[: k + 1], y, l2)
 
     w_raw, b_raw = _fold_to_raw(w, b, scaler)
     return LogisticModel(

@@ -5,17 +5,24 @@ with a decaying step size. Because subgradient steps are not individually
 monotone, progress is tracked (and the returned parameters taken) at the
 late-weighted average of the iterates, whose objective decreases smoothly.
 Learned weights are folded back to raw millimeter coordinates.
+
+Each epoch takes its subgradient step and updates the average alone, in
+buffers allocated once, and keeps the average's X @ w, w . w and bias. The
+objective history is the exact per-epoch `hinge_objective` of the average,
+with the same operations on the same values, evaluated for a block of
+epochs at a time after their steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..dataset import _check_integer, fit_scaler
 from ..errors import ConfigError
-from .base import LinearClassifier, _fold_to_raw
+from .base import _HISTORY_BLOCK, LinearClassifier, _fold_to_raw
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,15 @@ class SvmModel(LinearClassifier):
     OFFSET = "bias"
 
 
+def _objectives(scores, sq_norms, biases, y_signed, lam):
+    """`hinge_objective` of each epoch from the rows X @ w, w . w and the bias."""
+    hinge = scores + biases[:, None]
+    hinge *= y_signed
+    np.subtract(1.0, hinge, out=hinge)
+    np.maximum(0.0, hinge, out=hinge)
+    return 0.5 * lam * sq_norms + hinge.mean(axis=1)
+
+
 def train_svm(train, config=None):
     """Fit an :class:`SvmModel` on a training dataset."""
     config = config or SvmConfig()
@@ -74,26 +90,52 @@ def train_svm(train, config=None):
     X = scaler.transform(X_raw)
     n, d = X.shape
     lam = 1.0 / (config.C * n)
+    rate = config.learning_rate
 
     w = np.zeros(d)
     b = 0.0
     w_avg = np.zeros(d)
     b_avg = 0.0
     weight_sum = 0.0
+    margins = np.empty(n)
+    active = np.empty(n, dtype=bool)
+    pull = np.empty(n)
+    grad_w = np.empty(d)
+    scratch = np.empty(d)
+    avg_scores = np.empty((_HISTORY_BLOCK, n))
+    sq_norms = np.empty(_HISTORY_BLOCK)
+    biases = np.empty(_HISTORY_BLOCK)
     history = np.empty(config.epochs)
     for t in range(1, config.epochs + 1):
-        margins = y * (X @ w + b)
-        active = margins < 1.0
-        grad_w = lam * w - (X.T @ (y * active)) / n
-        grad_b = -float(np.sum(y * active)) / n
-        eta = config.learning_rate / np.sqrt(t)
-        w = w - eta * grad_w
+        np.matmul(X, w, out=margins)
+        margins += b
+        margins *= y
+        np.less(margins, 1.0, out=active)
+        np.multiply(y, active, out=pull)
+        # grad_w = lam * w - (X.T @ pull) / n
+        np.matmul(X.T, pull, out=grad_w)
+        grad_w /= n
+        np.multiply(w, lam, out=scratch)
+        np.subtract(scratch, grad_w, out=grad_w)
+        grad_b = -float(pull.sum()) / n
+        eta = rate / math.sqrt(t)
+        grad_w *= eta
+        w -= grad_w
         b = b - eta * grad_b
         # late-weighted running average (weight t favors converged iterates)
         weight_sum += t
-        w_avg = w_avg + (t / weight_sum) * (w - w_avg)
+        np.subtract(w, w_avg, out=scratch)
+        scratch *= t / weight_sum
+        w_avg += scratch
         b_avg = b_avg + (t / weight_sum) * (b - b_avg)
-        history[t - 1] = hinge_objective(w_avg, b_avg, X, y, config.C)
+        k = (t - 1) % _HISTORY_BLOCK
+        np.matmul(X, w_avg, out=avg_scores[k])
+        sq_norms[k] = np.dot(w_avg, w_avg)
+        biases[k] = b_avg
+        if k == _HISTORY_BLOCK - 1 or t == config.epochs:
+            history[t - 1 - k : t] = _objectives(
+                avg_scores[: k + 1], sq_norms[: k + 1], biases[: k + 1], y, lam
+            )
 
     w_raw, b_raw = _fold_to_raw(w_avg, b_avg, scaler)
     return SvmModel(

@@ -829,6 +829,8 @@ def test_split_flags_checked_before_the_data_is_read(
         ("explain", "tree", ["--mode", "local-shap", "--year", "1947", "--kernel-width", "-3"]),
         ("explain", "tree", ["--mode", "local-lime", "--year", "1947", "--background", "mean"]),
         ("explain", "tree", ["--mode", "local-lime", "--year", "1947", "--samples", "exhaustive"]),
+        ("explain", "tree", ["--mode", "local-shap", "--year", "1947", "--svg", "{blocker}/c.svg"]),
+        ("train", "tree", ["--json", "{blocker}/r.json"]),
     ],
     ids=[
         "compare-with-svg",
@@ -849,14 +851,20 @@ def test_split_flags_checked_before_the_data_is_read(
         "local-shap-with-kernel-width",
         "local-lime-with-background",
         "local-lime-exhaustive-samples",
+        "chart-under-a-file",
+        "train-report-under-a-file",
     ],
 )
 def test_usage_error_writes_nothing(
     run_cli, data_path, model_dir, tmp_path, command, model, extra
 ):
-    # every output flag the command takes points into an empty directory
+    # every output flag the command takes points into an empty directory, unless
+    # `extra` points one under a regular file, where no directory can be made
     out = tmp_path / "out"
     out.mkdir()
+    blocker = tmp_path / "blocker"
+    blocker.touch()
+    extra = [arg.format(blocker=blocker) for arg in extra]
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{not json")
     outputs = {
@@ -869,17 +877,17 @@ def test_usage_error_writes_nothing(
     else:
         path = malformed if model == "malformed" else model_dir / f"{model}.json"
         argv = [command, "--model", path]
-    code, _, err = run_cli([*argv, *extra, "--data", data_path, *outputs])
+    code, _, err = run_cli([*argv, "--data", data_path, *outputs, *extra])
     assert code == 2, err
     assert err.startswith("error:")
     assert list(out.iterdir()) == []
 
 
 # a valid and an invalid value of each flag the exit-code matrix varies; None: no invalid
-# value that fails before the outputs are written
+# value that fails before the outputs are written. {blocker} is a regular file.
 MATRIX_VALUES = {
     "--impute": ("zero", "median"),
-    "--svg": ("{out}/chart.svg", None),
+    "--svg": ("{out}/chart.svg", "{blocker}/chart.svg"),
     "--seed": ("3", "-1"),
     "--split": ("0.6", "1.5"),
     "--k": ("3", "0"),
@@ -936,6 +944,8 @@ def test_exit_code_matrix(run_cli, data_path, tmp_path, command, mode, flag, val
     # it does not apply to exits 2 naming both, before the CSV (here missing) is read
     out = tmp_path / "out"
     out.mkdir()
+    blocker = tmp_path / "blocker"
+    blocker.touch()
     tree = REPO_ROOT / "tests" / "golden" / "models" / "tree.json"
     argv = {
         "summary": ["summary"],
@@ -949,7 +959,7 @@ def test_exit_code_matrix(run_cli, data_path, tmp_path, command, mode, flag, val
             argv += [name, value]
     argv += ["--json", out / "report.json"]
     valid, invalid = MATRIX_VALUES[flag]
-    value = (invalid if value_kind == "invalid" else valid).format(out=out)
+    value = (invalid if value_kind == "invalid" else valid).format(out=out, blocker=blocker)
     data = tmp_path / "missing.csv" if value_kind == "inapplicable" else data_path
     code, _, err = run_cli([*argv, flag, value, "--data", data])
     assert code in (0, 2, 3), err

@@ -1,6 +1,7 @@
 """Unit behavior of the four classifiers and the model JSON round-trip."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from floodxai import (
     TreeNode,
     entropy,
     euclidean_distance,
+    fit_scaler,
     hinge_objective,
     load_model,
     loss_and_gradient,
@@ -34,7 +36,7 @@ from floodxai import (
 from floodxai.explain.shapley import _bit_table, _sample_coalitions
 from floodxai.models import KINDS, ProbabilityClassifier, model_from_dict, model_to_dict
 from floodxai.models import tree as tree_module
-from floodxai.models.base import sigmoid
+from floodxai.models.base import _HISTORY_BLOCK, _fold_to_raw, sigmoid
 
 RNG = np.random.default_rng(7)
 
@@ -342,6 +344,115 @@ class TestSvm:
     def test_config_validation(self, config):
         with pytest.raises(ConfigError):
             config.validate()
+
+
+def _reference_logistic(train, config):
+    """The logistic training loop that calls `loss_and_gradient` every epoch."""
+    scaler = fit_scaler(train)
+    X, y = scaler.transform(train.features()), train.labels().astype(float)
+    w, b = np.zeros(X.shape[1]), 0.0
+    history = np.empty(config.epochs)
+    for epoch in range(config.epochs):
+        loss, grad_w, grad_b = loss_and_gradient(w, b, X, y, config.l2)
+        history[epoch] = loss
+        w = w - config.learning_rate * grad_w
+        b = b - config.learning_rate * grad_b
+    return (*_fold_to_raw(w, b, scaler), history)
+
+
+def _reference_svm(train, config):
+    """The SVM training loop that calls `hinge_objective` every epoch."""
+    scaler = fit_scaler(train)
+    X, y = scaler.transform(train.features()), np.where(train.labels() == 1, 1.0, -1.0)
+    n, d = X.shape
+    lam = 1.0 / (config.C * n)
+    w, b = np.zeros(d), 0.0
+    w_avg, b_avg = np.zeros(d), 0.0
+    weight_sum = 0.0
+    history = np.empty(config.epochs)
+    for t in range(1, config.epochs + 1):
+        margins = y * (X @ w + b)
+        active = margins < 1.0
+        grad_w = lam * w - (X.T @ (y * active)) / n
+        grad_b = -float(np.sum(y * active)) / n
+        eta = config.learning_rate / np.sqrt(t)
+        w = w - eta * grad_w
+        b = b - eta * grad_b
+        weight_sum += t
+        w_avg = w_avg + (t / weight_sum) * (w - w_avg)
+        b_avg = b_avg + (t / weight_sum) * (b - b_avg)
+        history[t - 1] = hinge_objective(w_avg, b_avg, X, y, config.C)
+    return (*_fold_to_raw(w_avg, b_avg, scaler), history)
+
+
+@pytest.fixture
+def random_train(make_dataset):
+    """A seeded 3-feature training set on unequal scales, with label noise."""
+    rng = np.random.default_rng(2024)
+    X = rng.normal(size=(57, 3)) * [120.0, 3.0, 0.4] + [800.0, 10.0, 0.0]
+    y = (X[:, 0] - 800.0) / 120.0 + X[:, 2] / 0.4 + rng.normal(0.0, 0.7, size=57) > 0
+    return make_dataset(X, y)
+
+
+def _oracle_cases(config_class, variants):
+    """(dataset, config) cases: the default config and the history block edges
+    on the golden split, each variant there too, and the seeded random set."""
+    B = _HISTORY_BLOCK
+    configs = [config_class(), *(config_class(epochs=e) for e in (1, B - 1, B, B + 1, 2 * B + 3))]
+    configs += [config_class(**v) for v in variants]
+    cases = [pytest.param("golden", c, id=f"golden-{_config_id(c)}") for c in configs]
+    return cases + [
+        pytest.param("random", c, id=f"random-{_config_id(c)}")
+        for c in (config_class(), config_class(epochs=2 * B + 3))
+    ]
+
+
+def _config_id(config):
+    default = type(config)()
+    changed = [f"{k}={v}" for k, v in vars(config).items() if getattr(default, k) != v]
+    return ",".join(changed) or "default"
+
+
+@pytest.mark.parametrize(
+    "data, config", _oracle_cases(LogisticConfig, [{"l2": 0.0}, {"learning_rate": 0.05}])
+)
+def test_logistic_is_bit_identical_to_the_reference_loop(parts, random_train, data, config):
+    train = parts.train if data == "golden" else random_train
+    weights, intercept, history = _reference_logistic(train, config)
+    model = train_logistic(train, config)
+    assert np.array_equal(model.weights, weights)
+    assert model.intercept == intercept
+    assert np.array_equal(model.loss_history, history)
+
+
+@pytest.mark.parametrize(
+    "data, config", _oracle_cases(SvmConfig, [{"C": 2.0}, {"learning_rate": 0.1}])
+)
+def test_svm_is_bit_identical_to_the_reference_loop(parts, random_train, data, config):
+    train = parts.train if data == "golden" else random_train
+    weights, bias, history = _reference_svm(train, config)
+    model = train_svm(train, config)
+    assert np.array_equal(model.weights, weights)
+    assert model.bias == bias
+    assert np.array_equal(model.objective_history, history)
+
+
+@pytest.mark.parametrize(
+    "trainer, config_class", [(train_logistic, LogisticConfig), (train_svm, SvmConfig)]
+)
+def test_training_memory_does_not_grow_with_epochs(parts, trainer, config_class):
+    # numpy reports its buffers to tracemalloc; only the history may grow
+    def traced_peak(epochs):
+        tracemalloc.start()
+        try:
+            trainer(parts.train, config_class(epochs=epochs))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    trainer(parts.train, config_class(epochs=10))
+    short, long = traced_peak(500), traced_peak(2000)
+    assert long - short <= 8 * (2000 - 500) + 64 * 1024, (short, long)
 
 
 class TestModelIo:

@@ -25,6 +25,7 @@ from floodxai import (
     two_sided_bar_chart,
     write_report,
 )
+from floodxai.manifest import write_text
 
 
 class TestCanonicalJson:
@@ -91,6 +92,27 @@ class TestWriteReport:
         write_report(path, {"v": 1})
         write_report(path, {"v": 2})
         assert json.loads(path.read_text()) == {"v": 2}
+
+    def test_group_is_written_together(self, tmp_path):
+        texts = {tmp_path / "a.json": "a\n", tmp_path / "deep" / "b.svg": "b\n"}
+        write_text(texts)
+        assert {path: path.read_text() for path in texts} == texts
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_failed_group_write_leaves_no_file(self, tmp_path, failing):
+        # a path under a regular file can get no directory; the other file stays unwritten
+        (tmp_path / "blocker").touch()
+        paths = [tmp_path / "out" / "a.json", tmp_path / "out" / "b.json"]
+        paths[failing] = tmp_path / "blocker" / "x.json"
+        with pytest.raises(OSError):
+            write_text({path: "text\n" for path in paths})
+        assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["blocker"]
+
+    def test_failed_text_write_removes_every_temp_file(self, tmp_path):
+        # the second text cannot be encoded, after the first temp file is written
+        with pytest.raises(UnicodeEncodeError):
+            write_text({tmp_path / "a.json": "a\n", tmp_path / "b.json": "\ud800"})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestManifest:

@@ -258,7 +258,7 @@ def store_model(trained, stored):
         old = stored.read_text(encoding="utf-8")
         if strip_timestamps(json.loads(old)) == strip_timestamps(json.loads(new)):
             return
-    write_text(stored, new)
+    write_text({stored: new})
 
 
 def main():
@@ -270,7 +270,7 @@ def main():
         def store(argv, report):
             _run([*argv, "--data", DATA_PATH, "--json", out])
             stripped = strip_timestamps(json.loads(out.read_text(encoding="utf-8")))
-            write_text(report, canonical_json(stripped))
+            write_text({report: canonical_json(stripped)})
 
         # each model is trained under its relative path in the scratch directory,
         # so the train report records models/<kind>.json
@@ -283,10 +283,10 @@ def main():
         os.chdir(GOLDEN_DIR)
         for case in cases():
             store(case["argv"], case["report"])
-    write_text("cases.json", json.dumps(cases(), indent=2) + "\n")
+    write_text({"cases.json": json.dumps(cases(), indent=2) + "\n"})
     for kind in MASKED_YEARS:
-        write_text(f"{kind}-masked-proba.json",
-                   json.dumps(masked_proba_tables(kind), indent=1) + "\n")
+        write_text({f"{kind}-masked-proba.json":
+                    json.dumps(masked_proba_tables(kind), indent=1) + "\n"})
     print(f"wrote {len(cases())} reports, {len(MODEL_KINDS)} models with their train "
           f"reports and the {' and '.join(MASKED_YEARS)} "
           f"masked_proba tables to {GOLDEN_DIR}")
