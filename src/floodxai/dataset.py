@@ -364,9 +364,18 @@ class Scaler:
         return np.asarray(Z, dtype=float) * self.std + self.mean
 
 
+def _as_numeric(values, what):
+    """`values` as a float array; a DatasetError says `what` is not numeric when a
+    cell is not a number or the rows are ragged."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"{what} must be numeric: {exc}") from None
+
+
 def _as_finite(values, what):
     """`values` as a float array; DatasetError names its first non-finite cell."""
-    A = np.asarray(values, dtype=float)
+    A = _as_numeric(values, what)
     if np.isfinite(A).all():
         return A
     rows = np.atleast_2d(A)
@@ -379,7 +388,7 @@ def _feature_matrix(train):
     """A :class:`Dataset`'s feature matrix, or a plain matrix as a 2-D float array."""
     if hasattr(train, "features"):
         return train.features()
-    return np.atleast_2d(np.asarray(train, dtype=float))
+    return np.atleast_2d(_as_numeric(train, "training data"))
 
 
 def fit_scaler(train):

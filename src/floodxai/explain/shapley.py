@@ -13,10 +13,11 @@ The coalition value v(S) uses background substitution: features in S take
 the instance's values, the rest are replaced by background rows, and the
 model output (flood probability) is averaged over the background. The
 oracles (`exact_shapley`, `coalition_value`) always build those hybrid rows
-and call `predict_proba`; `kernel_shap` and `global_importance` ask the
-model class's own `masked_mean` for v(S) when it has one (logistic, SVM,
-tree, KNN), and otherwise average its `masked_proba` or the hybrids'
-predictions.
+and call `predict_proba`. `kernel_shap` and `global_importance` ask a model
+that keeps `ProbabilityClassifier`'s `predict_proba`, `masked_proba` and
+`masked_mean` (every package kind) for v(S) through that `masked_mean`; any
+other model, callable or wrapper is scored on the hybrid rows, as the
+oracles score it.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from ..dataset import _as_finite, _check_seed
+from ..dataset import _as_finite, _as_numeric, _check_seed
 from ..errors import ConfigError, DatasetError
-from ..models.base import _bit_table
+from ..models.base import ProbabilityClassifier, _bit_table
 
 EXHAUSTIVE = "exhaustive"
 MAX_EXACT_FEATURES = 20
@@ -72,10 +73,12 @@ def background_fingerprint(background):
     return "sha256:" + digest.hexdigest()
 
 
-def _hybrid_fn(predict):
-    """`masked_proba` of any predict function: it scores the hybrid rows themselves."""
+def _hybrid_mean(model):
+    """v(S) of each mask of one chunk from `predict_proba` on the hybrid rows
+    themselves, scored `_CHUNK_ROWS` rows at a time."""
+    predict = _predict_fn(model)
 
-    def masked(x, bg, masks):
+    def mean(x, bg, masks):
         out = np.empty((len(masks), len(bg)))
         step = max(1, _CHUNK_ROWS // len(bg))
         for start in range(0, len(masks), step):
@@ -83,62 +86,29 @@ def _hybrid_fn(predict):
             hybrid = np.where(chunk[:, None, :], x[None, None, :], bg[None, :, :])
             preds = predict(hybrid.reshape(-1, x.shape[0]))
             out[start : start + step] = preds.reshape(len(chunk), len(bg))
-        return out
+        return out.mean(axis=1)
 
-    return masked
-
-
-def _defined_in(cls, name):
-    """The first class in cls's method resolution order that defines `name` itself."""
-    return next((c for c in cls.__mro__ if name in vars(c)), None)
-
-
-def _masked_fn(model):
-    """The model class's own `masked_proba` if the class that defines it also
-    defines the `predict_proba` in use; otherwise the hybrid rows through
-    `predict_proba`. Looking it up on the type keeps wrappers that forward
-    attributes (and subclasses that override `predict_proba`) on the hybrids."""
-    owner = _defined_in(type(model), "masked_proba")
-    if owner is not None and owner is _defined_in(type(model), "predict_proba"):
-        return partial(owner.masked_proba, model)
-    return _hybrid_fn(_predict_fn(model))
+    return mean
 
 
 def _mean_fn(model):
-    """v(S) of each mask of one chunk: the model class's own `masked_mean` if the
-    class that defines it also defines the `masked_proba` and `predict_proba` in use;
-    otherwise the mean over background rows of `_masked_fn`'s probabilities. So a
-    class that defines `masked_proba` but not `masked_mean` still has its
-    `masked_proba` used, and `_masked_fn`'s owner rule decides the rest."""
+    """v(S) of each mask of one chunk. A model whose class takes `predict_proba`,
+    `masked_proba` and `masked_mean` from `ProbabilityClassifier` itself is asked
+    through that `masked_mean`; anything else is scored on its hybrid rows: a bare
+    callable, a wrapper that forwards attributes, a subclass that overrides one of
+    the three, a duck-typed class."""
     cls = type(model)
-    owner = _defined_in(cls, "masked_mean")
-    if owner is not None and all(
-        owner is _defined_in(cls, name) for name in ("masked_proba", "predict_proba")
+    if all(
+        getattr(cls, name, None) is getattr(ProbabilityClassifier, name)
+        for name in ("predict_proba", "masked_proba", "masked_mean")
     ):
-        return partial(owner.masked_mean, model)
-    return _table_mean(_masked_fn(model))
+        return partial(ProbabilityClassifier.masked_mean, model)
+    return _hybrid_mean(model)
 
 
-def _table_mean(masked):
-    """The v(S) function of a `masked_proba`-like function: its rows' means."""
-    return lambda x, bg, masks: masked(x, bg, masks).mean(axis=1)
-
-
-def _coalition_values(predict, instance, background, masks):
-    """v(S) for every mask row from `predict` on the hybrid rows: the oracles' path."""
-    return _masked_values(_hybrid_fn(predict), instance, background, masks)
-
-
-def _masked_values(masked, instance, background, masks):
-    """v(S) for every mask row, averaging `masked`'s probabilities over background rows."""
-    return _mean_values(_table_mean(masked), instance, background, masks)
-
-
-def _mean_values(mean, instance, background, masks):
-    """v(S) for every mask row from `mean`, asked for at most `_CHUNK_VALUES`
-    (masks x background rows) per call."""
-    masks = np.atleast_2d(np.asarray(masks, dtype=bool))
-    n_masks = masks.shape[0]
+def _checked(instance, background):
+    """The instance and background as finite float arrays, the background a
+    non-empty matrix of the instance's width: every entry point checks them once."""
     bg = np.atleast_2d(_as_finite(background, "background"))
     x = _as_finite(instance, "instance")
     if x.shape[0] == 0:
@@ -147,19 +117,24 @@ def _mean_values(mean, instance, background, masks):
         raise DatasetError(
             f"background has {bg.shape[1]} features but the instance has {x.shape[0]}"
         )
-    n_bg = bg.shape[0]
-    if n_bg == 0:
+    if bg.shape[0] == 0:
         raise DatasetError("background has no rows")
-    values = np.empty(n_masks)
-    step = max(1, _CHUNK_VALUES // n_bg)
-    for start in range(0, n_masks, step):
+    return x, bg
+
+
+def _mean_values(mean, x, bg, masks):
+    """v(S) for every row of the bool table `masks` from `mean`, asked for at most
+    `_CHUNK_VALUES` (masks x background rows) per call."""
+    values = np.empty(len(masks))
+    step = max(1, _CHUNK_VALUES // len(bg))
+    for start in range(0, len(masks), step):
         values[start : start + step] = mean(x, bg, masks[start : start + step])
     return values
 
 
 def coalition_value(model, instance, subset, background):
     """Model output with `subset` features from the instance, rest masked."""
-    x = np.asarray(instance, dtype=float)
+    x = _as_numeric(instance, "instance")
     mask = np.zeros(x.shape[0], dtype=bool)
     subset = list(subset)
     # a bool is an int to Python, and a float index would be truncated
@@ -167,7 +142,9 @@ def coalition_value(model, instance, subset, background):
                for i in subset):
         raise ConfigError(f"subset indices must be integers in [0, {len(mask) - 1}], got {subset}")
     mask[subset] = True
-    return float(_coalition_values(_predict_fn(model), x, background, mask)[0])
+    mean = _hybrid_mean(model)
+    x, bg = _checked(x, background)
+    return float(_mean_values(mean, x, bg, mask[None])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +282,7 @@ def exact_shapley(model, instance, background, feature_names=None):
     phi_i = sum over subsets S not containing i of
     |S|! (M-|S|-1)! / M! * [v(S + i) - v(S)].
     """
-    x = np.asarray(instance, dtype=float).ravel()
+    x = _as_numeric(instance, "instance").ravel()
     m = x.shape[0]
     if m > MAX_EXACT_FEATURES:
         raise ConfigError(
@@ -313,9 +290,10 @@ def exact_shapley(model, instance, background, feature_names=None):
             f"(got {m}); use kernel_shap with a sampling budget instead"
         )
     names = _feature_names(feature_names, m)
-    predict = _predict_fn(model)
+    mean = _hybrid_mean(model)
+    x, bg = _checked(x, background)
     masks = _bit_table(m)
-    values = _coalition_values(predict, x, background, masks)
+    values = _mean_values(mean, x, bg, masks)
     sizes = masks.sum(axis=1)
     fact = [math.factorial(k) for k in range(m + 1)]
     weight_by_size = np.array(
@@ -531,7 +509,7 @@ def _sample_coalitions(m, budget, seed):
     return masks, np.fromiter(counts.values(), dtype=float, count=len(counts))
 
 
-def _attribute(mean, x, config, offset=0):
+def _attribute(mean, x, bg, config, offset=0):
     """(phi, v(empty), v(full), n_coalitions) over one mask table: the empty coalition,
     the regression's coalitions, the full one. Sampled mode seeds config.seed + offset."""
     m = x.shape[0]
@@ -542,7 +520,7 @@ def _attribute(mean, x, config, offset=0):
         budget = config.n_coalition_samples if m > 1 else 0  # one feature: no interior
         interior, weights = _sample_coalitions(m, budget, config.seed + offset)
         table = np.vstack([np.zeros(m, dtype=bool), interior, np.ones(m, dtype=bool)])
-    values = _mean_values(mean, x, config.background, table)
+    values = _mean_values(mean, x, bg, table)
     v_empty, v_full = values[0], values[-1]
     delta = v_full - v_empty
     target = values[1:-1] - v_empty - table[1:-1, -1] * delta
@@ -565,11 +543,13 @@ def kernel_shap(model, instance, config, feature_names=None):
     - base_value) is imposed exactly by eliminating the last feature's coefficient. The
     fit is closed-form in EXHAUSTIVE mode (`_exhaustive_projection`), else `lstsq`.
     """
-    x = np.asarray(instance, dtype=float).ravel()
+    x = _as_numeric(instance, "instance").ravel()
     m = x.shape[0]
     names = _feature_names(feature_names, m)
     config.validate(m)
-    phi, v_empty, v_full, n_coalitions = _attribute(_mean_fn(model), x, config)
+    mean = _mean_fn(model)
+    x, bg = _checked(x, config.background)
+    phi, v_empty, v_full, n_coalitions = _attribute(mean, x, bg, config)
     return ShapExplanation(
         feature_names=names,
         instance=x,
@@ -587,7 +567,8 @@ def global_importance(model, X, config, feature_names=None):
     """Mean |phi| per feature over every row of X, with descending ranking.
 
     In sampled mode row i uses seed + i so rows draw independent coalition
-    sets while the whole aggregate stays reproducible.
+    sets while the whole aggregate stays reproducible; `n_coalitions` is then
+    the most distinct coalitions any row used.
     """
     X = np.atleast_2d(_as_finite(X, "X"))
     if X.ndim != 2:
@@ -598,10 +579,12 @@ def global_importance(model, X, config, feature_names=None):
     names = _feature_names(feature_names, m)
     config.validate(m)
     mean = _mean_fn(model)
-    total = np.zeros(m)
+    _, bg = _checked(X[0], config.background)
+    total, n_coalitions = np.zeros(m), 0
     for i, row in enumerate(X):
-        phi, _, _, n_coalitions = _attribute(mean, row, config, offset=i)
+        phi, _, _, n = _attribute(mean, row, bg, config, offset=i)
         total += np.abs(phi)
+        n_coalitions = max(n_coalitions, n)
     return GlobalImportance(
         feature_names=names,
         importances=total / X.shape[0],

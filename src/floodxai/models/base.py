@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..dataset import _as_finite
+from ..dataset import _as_finite, _as_numeric
 from ..errors import ConfigError, DatasetError
 
 
@@ -79,10 +79,7 @@ def prepare_features(X, n_features):
     A DatasetError names the row and feature of the first non-finite cell, or
     says the input is not numeric.
     """
-    try:
-        A = np.asarray(X, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DatasetError(f"model input must be numeric: {exc}") from None
+    A = _as_numeric(X, "model input")
     single = A.ndim == 1
     if single:
         A = A.reshape(1, -1)

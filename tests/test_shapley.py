@@ -11,6 +11,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -41,9 +42,9 @@ from floodxai.explain.shapley import (
     EXHAUSTIVE,
     MAX_EXACT_FEATURES,
     _bit_table,
-    _coalition_values,
-    _masked_fn,
-    _masked_values,
+    _hybrid_mean,
+    _mean_fn,
+    _mean_values,
     background_fingerprint,
 )
 
@@ -386,6 +387,23 @@ class TestGlobalImportance:
         np.testing.assert_allclose(result.importances, manual, atol=1e-12)
         assert result.n_instances == 3
 
+    def test_reports_the_most_coalitions_of_any_row(self):
+        # it used to report the last row's count; at seed 0, budget 40 and M = 12
+        # the five rows use 40, 42, 36, 40 and 40 coalitions
+        model = linear_model(np.arange(12.0))
+        X, bg = RNG.normal(size=(5, 12)), RNG.normal(size=(6, 12))
+        sampled = ShapConfig(background=bg, n_coalition_samples=40, seed=0)
+        counts = [
+            kernel_shap(
+                model, row, ShapConfig(background=bg, n_coalition_samples=40, seed=i)
+            ).n_coalitions
+            for i, row in enumerate(X)
+        ]
+        assert counts[-1] < max(counts)
+        assert global_importance(model, X, sampled).n_coalitions == max(counts)
+        assert global_importance(model, X[:1], sampled).n_coalitions == counts[0]
+        assert global_importance(model, X, ShapConfig(background=bg)).n_coalitions == 1 << 12
+
     def test_sampled_rows_use_offset_seeds(self, background5):
         X = RNG.normal(size=(3, 5))
         config = ShapConfig(background=background5, n_coalition_samples=32, seed=100)
@@ -433,6 +451,20 @@ def _with(values, index, bad):
     values = np.array(values, dtype=float)
     values[index] = bad
     return values
+
+
+def _text(values, index):
+    """`values` as nested lists with the cell at `index` replaced by text."""
+    values = np.array(values, dtype=object)
+    values[index] = "a"
+    return values.tolist()
+
+
+def _ragged(rows):
+    """`rows` as lists, the last one a cell short."""
+    rows = np.asarray(rows).tolist()
+    rows[-1] = rows[-1][:-1]
+    return rows
 
 
 @pytest.mark.parametrize(
@@ -484,6 +516,34 @@ def _with(values, index, bad):
             lambda f, x, bg: explain_local(f, x, _with(bg, (2, 3), np.inf)),
             "training row 2 feature 3",
         ),
+        (
+            lambda f, x, bg: kernel_shap(f, _text(x, 3), ShapConfig(background=bg)),
+            "instance must be numeric",
+        ),
+        (
+            lambda f, x, bg: kernel_shap(f, x, ShapConfig(background=_ragged(bg))),
+            "background must be numeric",
+        ),
+        (
+            lambda f, x, bg: global_importance(f, _ragged([x, x, x]), ShapConfig(background=bg)),
+            "X must be numeric",
+        ),
+        (
+            lambda f, x, bg: global_importance(f, [x], ShapConfig(background=_text(bg, (0, 0)))),
+            "background must be numeric",
+        ),
+        (lambda f, x, bg: exact_shapley(f, _text(x, 0), bg), "instance must be numeric"),
+        (lambda f, x, bg: exact_shapley(f, x, _ragged(bg)), "background must be numeric"),
+        (lambda f, x, bg: coalition_value(f, _text(x, 5), [0], bg), "instance must be numeric"),
+        (lambda f, x, bg: coalition_value(f, x, [0], _ragged(bg)), "background must be numeric"),
+        (
+            lambda f, x, bg: perturb(_text(x, 7), fit_discretizer(bg), fit_scaler(bg), LimeConfig()),
+            "instance must be numeric",
+        ),
+        (lambda f, x, bg: explain_local(f, _text(x, 7), bg), "instance must be numeric"),
+        (lambda f, x, bg: explain_local(f, x, _ragged(bg)), "training data must be numeric"),
+        (lambda f, x, bg: fit_discretizer(_text(bg, (2, 3))), "training data must be numeric"),
+        (lambda f, x, bg: fit_scaler(_ragged(bg)), "training data must be numeric"),
     ],
     ids=[
         "kernel_shap-instance",
@@ -497,10 +557,24 @@ def _with(values, index, bad):
         "perturb-instance",
         "explain_local-instance",
         "explain_local-training",
+        "kernel_shap-instance-text",
+        "kernel_shap-background-ragged",
+        "global_importance-instance-ragged",
+        "global_importance-background-text",
+        "exact_shapley-instance-text",
+        "exact_shapley-background-ragged",
+        "coalition_value-instance-text",
+        "coalition_value-background-ragged",
+        "perturb-instance-text",
+        "explain_local-instance-text",
+        "explain_local-training-ragged",
+        "fit_discretizer-text",
+        "fit_scaler-ragged",
     ],
 )
 def test_non_finite_inputs_rejected(logistic, parts, entry, named):
-    # NaN or inf would otherwise flow into NaN attributions or probabilities
+    # NaN or inf would otherwise flow into NaN attributions or probabilities, and
+    # a text cell or a ragged row into numpy's bare ValueError
     x = parts.test.features()[0]
     background = parts.train.features()[:8]
     with pytest.raises(DatasetError, match=named):
@@ -605,12 +679,17 @@ def test_masked_proba_matches_hybrid_predictions(all_models, dataset, parts, kin
                 else:
                     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
             # v(S) over the chunked loop: the tree's and KNN's values are bit-identical
-            values = _masked_values(model.masked_proba, x, bg, table)
-            oracle = _coalition_values(model.predict_proba, x, bg, table)
+            values = _mean_values(_mean_fn(model), x, bg, table)
+            oracle = _mean_values(_hybrid_mean(model), x, bg, table)
             if exact:
                 np.testing.assert_array_equal(values, oracle)
             else:
                 np.testing.assert_allclose(values, oracle, rtol=0, atol=1e-12)
+
+
+def _masked_proba_mean(model):
+    """v(S) as the mean of the model's `masked_proba` table over the background rows."""
+    return lambda x, bg, masks: model.masked_proba(x, bg, masks).mean(axis=1)
 
 
 @pytest.mark.parametrize("kind", ["logistic", "tree", "knn"])
@@ -620,12 +699,12 @@ def test_chunking_leaves_coalition_values_unchanged(all_models, parts, kind, mon
     x = parts.test.features()[2]
     bg = parts.train.features()[:7]
     table = _bit_table(12)
-    whole = _masked_values(_masked_fn(model), x, bg, table)
-    oracle = _coalition_values(model.predict_proba, x, bg, table)
+    whole = _mean_values(_masked_proba_mean(model), x, bg, table)
+    oracle = _mean_values(_hybrid_mean(model), x, bg, table)
     monkeypatch.setattr(shapley, "_CHUNK_VALUES", 7 * 300)
     monkeypatch.setattr(shapley, "_CHUNK_ROWS", 7 * 100)
-    np.testing.assert_array_equal(_masked_values(_masked_fn(model), x, bg, table), whole)
-    np.testing.assert_array_equal(_coalition_values(model.predict_proba, x, bg, table), oracle)
+    np.testing.assert_array_equal(_mean_values(_masked_proba_mean(model), x, bg, table), whole)
+    np.testing.assert_array_equal(_mean_values(_hybrid_mean(model), x, bg, table), oracle)
 
 
 @pytest.mark.parametrize("kind", ["logistic", "svm", "tree", "knn"])
@@ -651,11 +730,12 @@ def test_chunking_leaves_masked_mean_values_unchanged(all_models, parts, kind, m
         np.testing.assert_array_equal(chunked, whole)
     else:
         np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(chunked, _masked_values(model.masked_proba, x, bg, table))
+    np.testing.assert_array_equal(chunked, _mean_values(_masked_proba_mean(model), x, bg, table))
 
 
-class _MaskedProbaOnly:
-    """Defines predict_proba and masked_proba, but no masked_mean; counts masked calls."""
+class _DuckTyped:
+    """Defines predict_proba and masked_proba, not ProbabilityClassifier's; counts
+    the masked calls."""
 
     def __init__(self, model):
         self.model, self.calls = model, 0
@@ -668,21 +748,58 @@ class _MaskedProbaOnly:
         return self.model.masked_proba(x, background, masks)
 
 
+class _DuckTypedWithMean(_DuckTyped):
+    """Also defines masked_mean."""
+
+    def masked_mean(self, x, background, masks):
+        self.calls += 1
+        return self.model.masked_mean(x, background, masks)
+
+
+@pytest.mark.parametrize("duck", [_DuckTyped, _DuckTypedWithMean], ids=["proba", "mean"])
 @pytest.mark.parametrize("kind", ["logistic", "tree"])
-def test_masked_proba_without_masked_mean_still_used(all_models, parts, kind):
+def test_duck_typed_model_explained_by_its_predict_proba(all_models, parts, kind, duck):
+    # only ProbabilityClassifier's own boundary is asked for v(S); a class that
+    # merely has masked methods is scored on its hybrid rows, like a bare callable
     model = all_models[kind]
-    wrapped = _MaskedProbaOnly(model)
+    wrapped = duck(model)
     x = parts.test.features()[6]
     for samples in (EXHAUSTIVE, 200):
         config = ShapConfig(background=parts.train.features(), n_coalition_samples=samples)
-        calls = wrapped.calls
         got = kernel_shap(wrapped, x, config).phi
-        assert wrapped.calls == calls + 1
+        np.testing.assert_array_equal(got, kernel_shap(model.predict_proba, x, config).phi)
         want = kernel_shap(model, x, config).phi
         if kind == "tree":
             np.testing.assert_array_equal(got, want)
         else:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert wrapped.calls == 0
+
+
+@pytest.mark.parametrize("name", ["masked_mean", "masked_proba"])
+@pytest.mark.parametrize("kind", ["logistic", "tree", "knn"])
+def test_subclass_overriding_the_boundary_takes_the_hybrid_rows(all_models, parts, kind, name):
+    # a subclass whose masked method is its own is not the boundary the package
+    # kinds share, so its v(S) comes from predict_proba on the hybrid rows
+    model = all_models[kind]
+    cls = type(model)
+
+    def refused(self, *args):
+        raise AssertionError(f"{name} called")
+
+    sub = type("Own" + cls.__name__, (cls,), {name: refused})
+    own = sub(**{f: getattr(model, f) for f in model.__dataclass_fields__})
+    assert not isinstance(_mean_fn(own), partial)
+    x = parts.test.features()[4]
+    bg = parts.train.features()[:9]
+    np.testing.assert_array_equal(
+        _mean_values(_mean_fn(own), x, bg, _bit_table(12)),
+        _mean_values(_hybrid_mean(model), x, bg, _bit_table(12)),
+    )
+    config = ShapConfig(background=bg)
+    np.testing.assert_array_equal(
+        kernel_shap(own, x, config).phi, kernel_shap(model.predict_proba, x, config).phi
+    )
 
 
 def _reference_knn_proba(model, X):
@@ -739,6 +856,16 @@ def test_knn_vote_matches_whole_row_reference(k, n0):
     np.testing.assert_array_equal(knn_module._vote(D2.copy(), n0, k), expected)
 
 
+def _hybrid_table(model):
+    """The model's probabilities of the hybrid rows, as a (masks, background rows) table."""
+
+    def table(x, bg, masks):
+        hybrid = np.where(masks[:, None, :], x, bg[None, :, :])
+        return model.predict_proba(hybrid.reshape(-1, len(x))).reshape(len(masks), len(bg))
+
+    return table
+
+
 def _knn_masked_cases(parts):
     train = parts.train.features()
     return train[5], train[20:23]
@@ -749,7 +876,7 @@ def test_knn_mask_plan_with_small_blocks(all_models, parts, monkeypatch):
     # are partial at block edges and full inside them
     model = all_models["knn"]
     x, bg = _knn_masked_cases(parts)
-    hybrid = shapley._hybrid_fn(model.predict_proba)
+    hybrid = _hybrid_table(model)
     monkeypatch.setattr(knn_module, "_MASK_BLOCK", 11 * bg.shape[0] * len(parts.train))
     table = _bit_table(12)
     rng = np.random.default_rng(5)
@@ -768,7 +895,7 @@ def test_knn_mask_plan_with_small_blocks(all_models, parts, monkeypatch):
 def test_knn_mask_plan_reused_and_keyed_by_content(all_models, parts):
     model = all_models["knn"]
     x, bg = _knn_masked_cases(parts)
-    hybrid = shapley._hybrid_fn(model.predict_proba)
+    hybrid = _hybrid_table(model)
     table = _bit_table(12)
     first = model.masked_proba(x, bg, table)
     hits = knn_module._mask_plan.cache_info().hits
